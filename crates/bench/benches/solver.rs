@@ -362,11 +362,13 @@ fn measure_cold_root(name: &str, model: &Model, mode: &'static str) -> WarmColdR
     } else {
         (model.clone(), None)
     };
+    let bounds: Vec<(f64, f64)> = target
+        .variables()
+        .iter()
+        .map(|v| (v.lower, v.upper))
+        .collect();
     let start = Instant::now();
-    // Deliberately measured through the deprecated shim: the cold_root
-    // rows are the committed oracle for shim-vs-session tick identity.
-    #[allow(deprecated)]
-    let result = simplex::solve_model_relaxation(&target, &lp_cfg);
+    let result = LpSession::open(&target, lp_cfg).solve(&bounds, None).result;
     let wall = start.elapsed().as_secs_f64();
     WarmColdRecord {
         instance: format!("cold_root/{name}"),

@@ -9,18 +9,13 @@
 //! harness's `set_partition/*` instance) and the slot-restricted
 //! re-optimisation ILP (§V-F / LNS resolves), where the `fix_binary`
 //! cascades let presolve collapse most of the model.
-//!
-//! Measured through the deprecated `solve_model_relaxation` shim on
-//! purpose: it is the retained differential-test oracle over the session
-//! path, and these acceptance numbers are the committed reference.
-#![allow(deprecated)]
 
 use croxmap_core::baseline::greedy_first_fit;
 use croxmap_core::{FormulationConfig, MappingIlp, MappingObjective};
 use croxmap_gen::calibrated::{generate, NetworkSpec};
 use croxmap_ilp::presolve::{presolve, PresolveConfig, PresolveOutcome, PresolvedModel};
-use croxmap_ilp::simplex::{solve_model_relaxation, LpConfig, LpStatus};
-use croxmap_ilp::Model;
+use croxmap_ilp::simplex::{LpConfig, LpResult, LpStatus};
+use croxmap_ilp::{LpSession, Model};
 use croxmap_mca::{ArchitectureSpec, AreaModel, CrossbarPool};
 
 fn table_ii_pool(node_count: usize) -> CrossbarPool {
@@ -65,14 +60,24 @@ fn presolved(model: &Model) -> PresolvedModel {
     }
 }
 
+/// One cold root-LP solve of `model` under its own bounds.
+fn cold_root_lp(model: &Model, cfg: &LpConfig) -> LpResult {
+    let bounds: Vec<(f64, f64)> = model
+        .variables()
+        .iter()
+        .map(|v| (v.lower, v.upper))
+        .collect();
+    LpSession::open(model, *cfg).solve(&bounds, None).result
+}
+
 /// Runs the raw/presolved cold-root comparison and returns
 /// `(nnz_removed_fraction, raw/presolved tick ratio)`.
 fn check_cold_root(tag: &str, model: &Model) -> (f64, f64) {
     let p = presolved(model);
     let removed_frac = p.stats.nnz_removed() as f64 / p.stats.nnz_before.max(1) as f64;
     let cfg = LpConfig::default();
-    let raw = solve_model_relaxation(model, &cfg);
-    let pre = solve_model_relaxation(&p.model, &cfg);
+    let raw = cold_root_lp(model, &cfg);
+    let pre = cold_root_lp(&p.model, &cfg);
     println!(
         "{tag}: rows {}→{}, cols {}→{}, nnz {}→{} ({:.1}% removed), cliques {}; \
          cold ticks raw {} vs presolved {} ({:.2}x)",
@@ -156,8 +161,8 @@ fn perturbation_cuts_unperturbed_cold_work() {
     // the perturbation must keep paying for itself, not hit a fixed
     // ratio that penalises making the baseline faster.
     let model = set_partition(16);
-    let perturbed = solve_model_relaxation(&model, &LpConfig::default());
-    let plain = solve_model_relaxation(
+    let perturbed = cold_root_lp(&model, &LpConfig::default());
+    let plain = cold_root_lp(
         &model,
         &LpConfig {
             perturb: false,

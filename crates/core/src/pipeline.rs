@@ -43,10 +43,9 @@ impl PipelineConfig {
     }
 
     /// Returns a copy with the given solver configuration. This is how
-    /// callers reach the LP-level knobs — engine selection (sparse LU vs
-    /// the dense oracles), basis-update rule (Forrest–Tomlin vs
-    /// product-form etas, `SolverConfig::with_update_rule`), pricing
-    /// rule, refactorisation cadence, the presolve stack
+    /// callers reach the solver knobs — the LP pricing rule
+    /// (`SolverConfig::with_pricing`), refactorisation cadence
+    /// (`SolverConfig::with_refactor_interval`), the presolve stack
     /// (`SolverConfig::with_presolve`), and the root cutting-plane round
     /// limit (`SolverConfig::with_cuts`) — e.g.
     /// `cfg.with_solver(cfg.solver.clone().with_pricing(...))`.
@@ -702,46 +701,6 @@ mod tests {
         best.validate(&net, &pool).unwrap();
         assert_eq!(best.used_slots().len(), 2);
         assert_eq!(run.best_objective(), Some(32.0));
-    }
-
-    #[test]
-    fn lp_engine_options_plumb_through_pipeline() {
-        // Every LP engine behind `PipelineConfig::with_solver` must reach
-        // the same area optimum on the clustered instance.
-        use croxmap_ilp::LpEngine;
-        let net = clustered();
-        let pool = pool();
-        for engine in [
-            LpEngine::SparseLu,
-            LpEngine::DenseInverse,
-            LpEngine::DenseTableau,
-        ] {
-            let cfg = PipelineConfig::with_budget(10.0).with_solver(
-                SolverConfig::default()
-                    .with_det_time_limit(10.0)
-                    .with_lp_engine(engine),
-            );
-            let run = optimize_area(&net, &pool, &cfg);
-            assert_eq!(run.best_objective(), Some(32.0), "engine {engine:?}");
-        }
-    }
-
-    #[test]
-    fn update_rule_options_plumb_through_pipeline() {
-        // Both basis-update schemes behind `PipelineConfig::with_solver`
-        // must reach the same area optimum on the clustered instance.
-        use croxmap_ilp::UpdateRule;
-        let net = clustered();
-        let pool = pool();
-        for update in [UpdateRule::ForrestTomlin, UpdateRule::ProductForm] {
-            let cfg = PipelineConfig::with_budget(10.0).with_solver(
-                SolverConfig::default()
-                    .with_det_time_limit(10.0)
-                    .with_update_rule(update),
-            );
-            let run = optimize_area(&net, &pool, &cfg);
-            assert_eq!(run.best_objective(), Some(32.0), "update {update:?}");
-        }
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Sparse LU basis factorisation with Forrest–Tomlin or product-form
-//! updates and hyper-sparse triangular solves.
+//! Sparse LU basis factorisation with Forrest–Tomlin updates and
+//! hyper-sparse triangular solves.
 //!
 //! The revised simplex needs four linear-algebra primitives on the basis
 //! matrix `B` (one column per constraint row, drawn from the structural
@@ -10,79 +10,58 @@
 //! * **update** — replace the basic column of one row after a pivot,
 //! * **refactorise** — rebuild the representation from the basis columns.
 //!
-//! Two interchangeable representations implement them:
+//! [`LuFactors`] implements them as a sparse LU factorisation `B·Q = L·U`
+//! (columns permuted by `Q`, rows by partial pivoting):
 //!
-//! 1. [`LuFactors`] (the default): a sparse LU factorisation `B·Q = L·U`
-//!    (columns permuted by `Q`, rows by partial pivoting). The default
-//!    [`MarkowitzOrdering::Dynamic`] runs a right-looking elimination
-//!    that picks every pivot by **live Markowitz merit on the active
-//!    submatrix**: column candidates come out of non-zero-count buckets
-//!    (lazily rebucketed as elimination changes the counts), and among
-//!    the entries of a candidate column that pass *threshold partial
-//!    pivoting* — within 10× of the column's largest magnitude — the one
-//!    minimising `(col_count − 1) · (row_count − 1)` wins. Both counts
-//!    are the *current* active-submatrix counts, maintained under fill,
-//!    so the ordering adapts to the elimination instead of freezing the
-//!    input structure. [`MarkowitzOrdering::StaticColCount`] keeps the
-//!    PR 2 left-looking Gilbert–Peierls elimination in ascending static
-//!    column count as the differential-testing oracle.
+//! * **Refactorisation** is a right-looking elimination that picks every
+//!   pivot by **dynamic Markowitz merit on the active submatrix**: column
+//!   candidates come out of non-zero-count buckets (lazily rebucketed as
+//!   elimination changes the counts), and among the entries of a
+//!   candidate column that pass *threshold partial pivoting* — within 10×
+//!   of the column's largest magnitude — the one minimising
+//!   `(col_count − 1) · (row_count − 1)` wins. Both counts are the
+//!   *current* active-submatrix counts, maintained under fill, so the
+//!   ordering adapts to the elimination instead of freezing the input
+//!   structure.
+//! * **Updates** are **Forrest–Tomlin**: the stored `U` is modified in
+//!   place. The leaving column's slot `t` is emptied, the transformed
+//!   entering column (the *spike* `v = L̃⁻¹ a_q`) is inserted in its
+//!   place, slot `t` is moved to the end of the pivot order, and the now
+//!   out-of-place row `t` of `U` is eliminated by a single row transform
+//!   `R = I − e_t μᵀ` whose multipliers solve the trailing triangular
+//!   system `Ūᵀ μ = u_tᵀ`. `R` joins a short file of row transforms
+//!   applied between the `L` and `U` solves, so FTRAN/BTRAN cost tracks
+//!   `nnz(L) + nnz(U) + nnz(R-file)` — flat in the number of pivots.
+//!   [`LuFactors::needs_refactor`] triggers a fresh factorisation when
+//!   the update file gets long ([`FactorOpts::refactor_interval`]) or fat
+//!   ([`FactorOpts::eta_fill_factor`] × the LU fill).
+//! * **Solves** are **hyper-sparse**: when the right-hand side is sparse
+//!   enough (see the density cutover below), the solver first computes
+//!   the *reach* of the RHS pattern — a DFS over the triangular factor's
+//!   dependency graph, visited in topological (pivot) order — and then
+//!   runs the scatter-form solve over exactly those columns, so work is
+//!   proportional to the non-zeros actually touched rather than to `m`.
+//!   Dense right-hand sides cut over to the scanning kernels, which sweep
+//!   every elimination step and skip zero multipliers. Both kernels
+//!   execute bit-identical arithmetic (same scatter operations in the
+//!   same pivot order), so results do not depend on which kernel a
+//!   density estimate picks.
 //!
-//!    Pivots are applied through one of two update schemes, selected by
-//!    [`FactorOpts::update`]:
-//!
-//!    * [`UpdateRule::ForrestTomlin`] (the default): the stored `U` is
-//!      modified **in place**. The leaving column's slot `t` is emptied,
-//!      the transformed entering column (the *spike* `v = L̃⁻¹ a_q`) is
-//!      inserted in its place, slot `t` is moved to the end of the pivot
-//!      order, and the now out-of-place row `t` of `U` is eliminated by a
-//!      single row transform `R = I − e_t μᵀ` whose multipliers solve the
-//!      trailing triangular system `Ūᵀ μ = u_tᵀ`. `R` joins a short file
-//!      of row transforms applied between the `L` and `U` solves, so
-//!      FTRAN/BTRAN cost tracks `nnz(L) + nnz(U) + nnz(R-file)` — flat in
-//!      the number of pivots — instead of growing with one eta per pivot.
-//!    * [`UpdateRule::ProductForm`]: the classical eta file. After a
-//!      pivot with transformed column `w = B⁻¹ a_q` entering at row `r`,
-//!      the new basis satisfies `B' = B·E` with `E = I` except column
-//!      `r = w`, so FTRAN appends `E⁻¹` and BTRAN prepends `E⁻ᵀ`. The
-//!      file grows with every pivot; kept selectable so the two schemes
-//!      can be differentially tested against each other and against
-//!      [`DenseInverse`].
-//!
-//!    [`LuFactors::needs_refactor`] triggers a fresh factorisation
-//!    when the update file gets long ([`FactorOpts::refactor_interval`])
-//!    or fat ([`FactorOpts::eta_fill_factor`] × the LU fill).
-//!
-//!    The triangular solves are **hyper-sparse**: when the right-hand
-//!    side is sparse enough (see the density cutover below), the solver
-//!    first computes the *reach* of the RHS pattern — a DFS over the
-//!    triangular factor's dependency graph, visited in topological
-//!    (pivot) order — and then runs the scatter-form solve over exactly
-//!    those columns, so work is proportional to the non-zeros actually
-//!    touched rather than to `m`. Dense right-hand sides cut over to the
-//!    scanning kernels, which sweep every elimination step and skip zero
-//!    multipliers. Both kernels execute bit-identical arithmetic (same
-//!    scatter operations in the same pivot order), so results do not
-//!    depend on which kernel a density estimate picks.
-//!
-//! 2. [`DenseInverse`]: the explicit dense `m × m` basis inverse of the
-//!    original engine — `O(m³)` refactorisation (Gauss–Jordan with
-//!    partial pivoting), `O(m²)` rank-one pivot updates. Kept as the
-//!    correctness oracle behind
-//!    [`LpEngine::DenseInverse`](crate::simplex::LpEngine) and as the
-//!    reference implementation for the property tests.
-//!
-//! Both meter deterministic work: every elementary floating-point
-//! operation charges ticks (see [`crate::DeterministicClock`]), harvested
-//! by the engine through [`take_work`](LuFactors::take_work), so budgets
-//! stay reproducible whichever representation runs. [`FactorStats`]
-//! additionally counts FTRAN/BTRAN visited non-zeros, kernel selections
-//! and update-file growth for the bench log.
+//! Every elementary floating-point operation charges deterministic ticks
+//! (see [`crate::DeterministicClock`]), harvested by the engine through
+//! [`take_work`](LuFactors::take_work), so budgets stay reproducible.
+//! [`FactorStats`] additionally counts FTRAN/BTRAN visited non-zeros,
+//! kernel selections and update-file growth for the bench log.
 //!
 //! Callers that know a solve's right-hand-side pattern ahead of time use
 //! the `*_sparse` entry points; the `*_tracked` variants additionally
 //! return the **result** pattern discovered by the DFS reach, so
 //! consecutive solves can thread patterns (FTRAN result → update → next
 //! FTRAN seed) without ever scanning a dense vector.
+//!
+//! [`DenseInverse`], the explicit dense `m × m` basis inverse, is the
+//! reference the property tests check LU solves and updates against; no
+//! engine runs on it.
 
 use crate::sparse::CscMatrix;
 
@@ -97,44 +76,13 @@ const PIVOT_THRESHOLD: f64 = 0.1;
 /// already-dense right-hand side rules out.
 const HYPER_DENSITY_CUTOFF: f64 = 0.125;
 
-/// How [`LuFactors::factorize`] orders the elimination.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MarkowitzOrdering {
-    /// Right-looking elimination choosing each pivot by live Markowitz
-    /// merit `(col_count − 1)·(row_count − 1)` on the active submatrix,
-    /// with count buckets and lazy rebucketing. Threshold partial
-    /// pivoting is unchanged. The default.
-    #[default]
-    Dynamic,
-    /// The PR 2 left-looking elimination in ascending *static* column
-    /// count, with the sparsest-row tie-break frozen at the input
-    /// counts. Kept as the differential-testing oracle for the dynamic
-    /// ordering.
-    StaticColCount,
-}
-
 /// Bounded candidate search of the dynamic ordering: how many usable
 /// pivot columns are examined (in ascending active count) before the
 /// best Markowitz merit seen so far is accepted.
 const MARKOWITZ_CANDIDATES: usize = 4;
 
-/// How a pivot is folded into an existing [`LuFactors`] factorisation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum UpdateRule {
-    /// Forrest–Tomlin: modify the stored `U` in place (spike insertion,
-    /// row elimination, pivot-order bookkeeping). Solve cost stays flat
-    /// in the number of pivots since the last refactorisation. The
-    /// default.
-    #[default]
-    ForrestTomlin,
-    /// Product-form eta file: append one eta per pivot. Solve cost grows
-    /// linearly with pivots since the last refactorisation; kept as the
-    /// differential-testing oracle for the Forrest–Tomlin path.
-    ProductForm,
-}
-
 /// Policy knobs for folding accumulated updates back into a fresh
-/// factorisation, plus the update scheme itself.
+/// factorisation.
 ///
 /// Reached through [`LpConfig`](crate::simplex::LpConfig) (and from there
 /// [`SolverConfig`](crate::SolverConfig)); replaces the engine's old
@@ -150,10 +98,6 @@ pub struct FactorOpts {
     /// diagonal entries of `L`): the trigger point is exactly
     /// `update_nnz > eta_fill_factor · lu_nnz`.
     pub eta_fill_factor: f64,
-    /// Which update scheme [`LuFactors::update`] applies.
-    pub update: UpdateRule,
-    /// Which pivot-ordering strategy [`LuFactors::factorize`] runs.
-    pub ordering: MarkowitzOrdering,
 }
 
 impl Default for FactorOpts {
@@ -161,8 +105,6 @@ impl Default for FactorOpts {
         FactorOpts {
             refactor_interval: 96,
             eta_fill_factor: 3.0,
-            update: UpdateRule::default(),
-            ordering: MarkowitzOrdering::default(),
         }
     }
 }
@@ -186,10 +128,10 @@ pub struct FactorStats {
     pub btran_hyper: u64,
     /// Non-zeros visited across all BTRAN passes.
     pub btran_visited: u64,
-    /// Pivot updates applied (either scheme).
+    /// Pivot updates applied.
     pub updates: u64,
-    /// Entries added to the update file (etas, or spike fill + row
-    /// transform multipliers under Forrest–Tomlin).
+    /// Entries added to the update file (spike fill, row-transform
+    /// multipliers and border multipliers).
     pub update_nnz: u64,
     /// Successful refactorisations performed.
     pub refactors: u64,
@@ -244,17 +186,6 @@ fn debug_check_superset(x: &[f64], pattern: &[usize]) {
     let _ = (x, pattern);
 }
 
-/// One product-form eta transformation: the basis column of row `r` was
-/// replaced by a column whose transformed form (`B⁻¹ a_q`) had `pivot` at
-/// position `r` and `entries` elsewhere.
-#[derive(Debug, Clone)]
-struct Eta {
-    r: usize,
-    pivot: f64,
-    /// `(position, value)` pairs excluding the pivot position.
-    entries: Vec<(usize, f64)>,
-}
-
 /// One Forrest–Tomlin row transform `R = I − e_t μᵀ`: applied between
 /// the `L` and `U` solves (in slot space), chronologically in FTRAN and
 /// transposed in reverse order in BTRAN.
@@ -274,10 +205,10 @@ struct FtTransform {
 /// multipliers `μ = B⁻ᵀ n` (`n` = the new row over the current basic
 /// columns) are computed once at growth time. `T` is applied *first* in
 /// FTRAN (newest growth first) and its transpose *last* in BTRAN (oldest
-/// growth first); everything downstream — L, the update files, U, etas —
-/// composes against it unchanged, so Forrest–Tomlin and product-form
-/// pivots keep absorbing updates on the grown basis without a
-/// refactorisation from scratch.
+/// growth first); everything downstream — L, the row transforms, U —
+/// composes against it unchanged, so Forrest–Tomlin pivots keep
+/// absorbing updates on the grown basis without a refactorisation from
+/// scratch.
 #[derive(Debug, Clone)]
 struct Border {
     /// The appended row this transform targets.
@@ -304,9 +235,8 @@ enum Phase {
 }
 
 /// Sparse LU factorisation of a simplex basis with in-place
-/// Forrest–Tomlin updates (or a product-form eta file) and hyper-sparse
-/// triangular solves. See the [module docs](self) for the algorithm and
-/// the update calculus.
+/// Forrest–Tomlin updates and hyper-sparse triangular solves. See the
+/// [module docs](self) for the algorithm and the update calculus.
 #[derive(Debug, Clone)]
 pub struct LuFactors {
     m: usize,
@@ -341,11 +271,8 @@ pub struct LuFactors {
     u_rows: Vec<Vec<(usize, f64)>>,
     /// Diagonal of `U`, per slot.
     u_diag: Vec<f64>,
-    /// Product-form pivot updates since the last refactorisation,
-    /// applied after the LU solves in FTRAN order (ProductForm rule).
-    etas: Vec<Eta>,
     /// Forrest–Tomlin row transforms since the last refactorisation,
-    /// applied between the `L` and `U` solves (ForrestTomlin rule).
+    /// applied between the `L` and `U` solves.
     ft: Vec<FtTransform>,
     /// Bordered-growth transforms since the last refactorisation, in
     /// growth order; applied ahead of everything in FTRAN (newest first)
@@ -357,14 +284,13 @@ pub struct LuFactors {
     u_nnz: usize,
     /// `nnz(U)` at the last factorisation.
     u_nnz0: usize,
-    /// Total entries across the update file (etas, or FT multipliers).
+    /// Total entries across the update file (row-transform and border
+    /// multipliers).
     file_nnz: usize,
     /// Pivot updates applied since the last factorisation.
     updates: u32,
     /// RHS density above which solves use the scanning kernels.
     hyper_cutoff: f64,
-    /// Pivot-ordering strategy for `factorize`.
-    ordering: MarkowitzOrdering,
     /// Slot-indexed scratch for the permuted triangular solves; zeroed
     /// between calls.
     scratch: Vec<f64>,
@@ -410,7 +336,6 @@ impl LuFactors {
             u_cols: Vec::new(),
             u_rows: Vec::new(),
             u_diag: Vec::new(),
-            etas: Vec::new(),
             ft: Vec::new(),
             border: Vec::new(),
             lu_nnz: m,
@@ -419,7 +344,6 @@ impl LuFactors {
             file_nnz: 0,
             updates: 0,
             hyper_cutoff: HYPER_DENSITY_CUTOFF,
-            ordering: MarkowitzOrdering::default(),
             scratch: vec![0.0; m],
             aux: vec![0.0; m],
             pat: Vec::new(),
@@ -451,7 +375,6 @@ impl LuFactors {
         self.u_cols = vec![Vec::new(); m];
         self.u_rows = vec![Vec::new(); m];
         self.u_diag = vec![1.0; m];
-        self.etas.clear();
         self.ft.clear();
         self.border.clear();
         self.lu_nnz = m;
@@ -582,15 +505,6 @@ impl LuFactors {
         self.stats.btran_visited += visited;
     }
 
-    /// Selects the pivot-ordering strategy for subsequent
-    /// [`factorize`](Self::factorize) calls. Both orderings produce a
-    /// valid LU of the same basis (they generally differ in pivot
-    /// sequence and therefore in round-off); each is individually
-    /// deterministic.
-    pub fn set_ordering(&mut self, ordering: MarkowitzOrdering) {
-        self.ordering = ordering;
-    }
-
     /// Overrides the hyper-sparse density cutover: right-hand sides whose
     /// pattern exceeds `cutoff · m` non-zeros use the scanning kernels.
     /// `0.0` forces scanning everywhere, `1.0` forces the hyper-sparse
@@ -606,33 +520,18 @@ impl LuFactors {
         (self.m as f64 * self.hyper_cutoff) as usize
     }
 
-    /// Number of pivot updates accumulated since the last factorisation
-    /// (etas under ProductForm, in-place updates under Forrest–Tomlin).
+    /// Number of pivot updates accumulated since the last factorisation.
     #[must_use]
     pub fn update_count(&self) -> usize {
         self.updates as usize
     }
 
-    /// Alias for [`update_count`](Self::update_count), kept for callers
-    /// from the product-form era.
-    #[must_use]
-    pub fn eta_count(&self) -> usize {
-        self.update_count()
-    }
-
-    /// Non-zeros across the update file: eta entries under ProductForm;
-    /// row-transform multipliers plus any net `U` fill under
-    /// Forrest–Tomlin. This is the quantity the
+    /// Non-zeros across the update file: row-transform and border
+    /// multipliers plus any net `U` fill. This is the quantity the
     /// [`FactorOpts::eta_fill_factor`] policy bounds.
     #[must_use]
     pub fn update_nnz(&self) -> usize {
         self.file_nnz + self.u_nnz.saturating_sub(self.u_nnz0)
-    }
-
-    /// Alias for [`update_nnz`](Self::update_nnz).
-    #[must_use]
-    pub fn eta_nnz(&self) -> usize {
-        self.update_nnz()
     }
 
     /// `nnz(L) + nnz(U)` of the last factorisation (diagonals included).
@@ -659,21 +558,17 @@ impl LuFactors {
     /// until the next successful call.
     pub fn factorize(&mut self, cols: &[usize], a: &CscMatrix, n_struct: usize) -> bool {
         let work_before = self.work;
-        let ok = match self.ordering {
-            MarkowitzOrdering::Dynamic => self.factorize_dynamic(cols, a, n_struct),
-            MarkowitzOrdering::StaticColCount => self.factorize_static(cols, a, n_struct),
-        };
+        let ok = self.eliminate(cols, a, n_struct);
         // Attribute the metered elimination work to the refactorisation
         // bucket so traces can split solve vs refactor time.
         self.stats.refactor_ticks += self.work - work_before;
         ok
     }
 
-    /// Shared prologue of both factorisation paths: clears the update
+    /// Prologue of [`eliminate`](Self::eliminate): clears the update
     /// files and sizes the permutation/factor arrays for a fresh LU.
     fn factorize_reset(&mut self) {
         let m = self.m;
-        self.etas.clear();
         self.ft.clear();
         self.border.clear();
         self.file_nnz = 0;
@@ -682,7 +577,7 @@ impl LuFactors {
         self.q.resize(m, 0);
         self.pinv.clear();
         self.pinv.resize(m, usize::MAX);
-        // The dynamic path flags pivoted columns through `qinv`; the
+        // Elimination flags pivoted columns through `qinv`; the
         // epilogue rebuilds it from `q` either way.
         self.qinv.clear();
         self.qinv.resize(m, usize::MAX);
@@ -694,8 +589,9 @@ impl LuFactors {
         self.u_diag.resize(m, 0.0);
     }
 
-    /// Shared epilogue: permutation inverses, identity pivotal order and
-    /// the row-wise mirrors; refreshes the fill counters and stats.
+    /// Epilogue of [`eliminate`](Self::eliminate): permutation
+    /// inverses, identity pivotal order and the row-wise mirrors;
+    /// refreshes the fill counters and stats.
     fn factorize_finish(&mut self, mut ops: u64) {
         let m = self.m;
         self.qinv.clear();
@@ -730,7 +626,7 @@ impl LuFactors {
         self.stats.refactors += 1;
     }
 
-    /// Right-looking elimination under the live Markowitz ordering: the
+    /// Right-looking elimination under the dynamic Markowitz ordering: the
     /// working matrix (column values + row patterns + active counts) is
     /// updated as pivots are taken, so every pivot choice sees the
     /// *current* active submatrix. Work is proportional to the non-zeros
@@ -738,7 +634,7 @@ impl LuFactors {
     /// not to `m²` — on the very sparse bases the simplex produces this
     /// is the difference between a refactorisation costing `O(nnz)` and
     /// one costing `O(m²)`.
-    fn factorize_dynamic(&mut self, cols: &[usize], a: &CscMatrix, n_struct: usize) -> bool {
+    fn eliminate(&mut self, cols: &[usize], a: &CscMatrix, n_struct: usize) -> bool {
         let m = self.m;
         assert_eq!(cols.len(), m, "one basis column per row required");
         self.factorize_reset();
@@ -950,123 +846,6 @@ impl LuFactors {
         true
     }
 
-    /// The PR 2 left-looking elimination in static column-count order —
-    /// the differential-testing oracle for
-    /// [`factorize_dynamic`](Self::factorize_dynamic).
-    fn factorize_static(&mut self, cols: &[usize], a: &CscMatrix, n_struct: usize) -> bool {
-        let m = self.m;
-        assert_eq!(cols.len(), m, "one basis column per row required");
-        self.factorize_reset();
-
-        // Static Markowitz data: column non-zero counts order the
-        // elimination; row counts break pivot ties towards sparse rows.
-        let col_nnz = |pos: usize| {
-            if cols[pos] < n_struct {
-                a.col_nnz(cols[pos])
-            } else {
-                1
-            }
-        };
-        let mut row_count = vec![0usize; m];
-        for k in 0..m {
-            if cols[k] < n_struct {
-                for &i in a.col(cols[k]).0 {
-                    row_count[i] += 1;
-                }
-            } else {
-                row_count[cols[k] - n_struct] += 1;
-            }
-        }
-        let mut order: Vec<usize> = (0..m).collect();
-        order.sort_unstable_by_key(|&pos| (col_nnz(pos), pos));
-
-        let mut x = vec![0.0f64; m];
-        let mut ops = a.nnz() as u64 + m as u64;
-        for (step, &pos) in order.iter().enumerate() {
-            // Scatter the basis column into the dense work vector.
-            let c = cols[pos];
-            if c < n_struct {
-                a.scatter_col(&mut x, c);
-                ops += a.col_nnz(c) as u64;
-            } else {
-                x[c - n_struct] = 1.0;
-                ops += 1;
-            }
-            // Sparse lower solve `x ← L⁻¹ x` over the slots so far; zero
-            // multipliers are skipped, which is what keeps sparse columns
-            // cheap (hyper-sparsity by value rather than by pattern).
-            for k in 0..step {
-                let t = x[self.p[k]];
-                if t == 0.0 {
-                    continue;
-                }
-                for &(row, val) in &self.l_cols[k] {
-                    x[row] -= val * t;
-                }
-                ops += self.l_cols[k].len() as u64;
-            }
-            ops += step as u64;
-            // Threshold partial pivoting with a Markowitz row bias: the
-            // sparsest row within PIVOT_THRESHOLD of the largest eligible
-            // magnitude becomes the pivot.
-            let mut max_abs = 0.0f64;
-            for row in 0..m {
-                if self.pinv[row] == usize::MAX {
-                    let v = x[row].abs();
-                    if v > max_abs {
-                        max_abs = v;
-                    }
-                }
-            }
-            ops += m as u64;
-            if max_abs < PIVOT_TOL {
-                x.fill(0.0);
-                self.work += ops;
-                return false; // singular in exact or floating arithmetic
-            }
-            let cutoff = max_abs * PIVOT_THRESHOLD;
-            let mut prow = usize::MAX;
-            let mut best_count = usize::MAX;
-            for row in 0..m {
-                if self.pinv[row] == usize::MAX && x[row].abs() >= cutoff {
-                    let count = row_count[row];
-                    if count < best_count {
-                        best_count = count;
-                        prow = row;
-                    }
-                }
-            }
-            debug_assert_ne!(prow, usize::MAX);
-            self.p[step] = prow;
-            self.pinv[prow] = step;
-            self.q[step] = pos;
-            let diag = x[prow];
-            self.u_diag[step] = diag;
-            // Split the eliminated column into U (pivoted rows) and L
-            // (remaining rows, scaled by the pivot); reset the scratch.
-            let inv = 1.0 / diag;
-            for row in 0..m {
-                let v = x[row];
-                if v == 0.0 {
-                    continue;
-                }
-                x[row] = 0.0;
-                if row == prow {
-                    continue;
-                }
-                let k = self.pinv[row];
-                if k == usize::MAX {
-                    self.l_cols[step].push((row, v * inv));
-                } else {
-                    self.u_cols[step].push((k, v));
-                }
-            }
-            ops += m as u64;
-        }
-        self.factorize_finish(ops);
-        true
-    }
-
     /// Computes the reach of the pattern in `self.pat2` (slot space) over
     /// the dependency graph of `phase`, into `self.reach` (unsorted
     /// postorder). Returns the number of edges examined, for metering.
@@ -1226,7 +1005,7 @@ impl LuFactors {
         self.ftran_hyper(x);
         self.track = false;
         std::mem::swap(result, &mut self.result_pat);
-        // Eta/transform targets can repeat reach positions; consumers
+        // Transform targets can repeat reach positions; consumers
         // apply pattern-indexed updates exactly once per position, so
         // canonicalise here (sorted order also keeps them deterministic).
         result.sort_unstable();
@@ -1277,7 +1056,6 @@ impl LuFactors {
             l_cols,
             u_cols,
             u_diag,
-            etas,
             ft,
             scratch: z,
             ..
@@ -1330,18 +1108,6 @@ impl LuFactors {
             z[k] = 0.0;
         }
         ops += 3 * m as u64;
-        // Apply the eta file in pivot order: x ← E⁻¹ x per eta.
-        for eta in etas.iter() {
-            let t = x[eta.r] / eta.pivot;
-            x[eta.r] = t;
-            if t == 0.0 {
-                continue;
-            }
-            for &(i, val) in &eta.entries {
-                x[i] -= val * t;
-            }
-            visited += eta.entries.len() as u64 + 1;
-        }
         self.work += ops + visited;
         self.stats.ftran_solves += 1;
         self.stats.ftran_visited += visited;
@@ -1427,7 +1193,6 @@ impl LuFactors {
             pos,
             u_cols,
             u_diag,
-            etas,
             reach,
             scratch: z,
             track,
@@ -1455,25 +1220,6 @@ impl LuFactors {
             if *track {
                 result_pat.push(q[k]);
             }
-        }
-        // Apply the eta file (ProductForm) on the dense result; eta
-        // targets extend the result pattern.
-        for eta in etas.iter() {
-            let t = x[eta.r] / eta.pivot;
-            x[eta.r] = t;
-            if *track {
-                result_pat.push(eta.r);
-            }
-            if t == 0.0 {
-                continue;
-            }
-            for &(i, val) in &eta.entries {
-                x[i] -= val * t;
-                if *track {
-                    result_pat.push(i);
-                }
-            }
-            visited += eta.entries.len() as u64 + 1;
         }
         self.work += visited + edges + self.reach.len() as u64;
         self.stats.ftran_solves += 1;
@@ -1534,20 +1280,10 @@ impl LuFactors {
             l_rows,
             u_rows,
             u_diag,
-            etas,
             ft,
             scratch: z,
             ..
         } = self;
-        // Eta transposes first, in reverse pivot order (ProductForm).
-        for eta in etas.iter().rev() {
-            let mut dot = 0.0;
-            for &(i, val) in &eta.entries {
-                dot += val * x[i];
-            }
-            x[eta.r] = (x[eta.r] - dot) / eta.pivot;
-            visited += eta.entries.len() as u64 + 1;
-        }
         // Gather into slot space.
         for k in 0..m {
             z[k] = x[q[k]];
@@ -1602,20 +1338,6 @@ impl LuFactors {
     /// pivot order, only reached slots visited.
     fn btran_hyper(&mut self, x: &mut [f64]) {
         let mut visited = 0u64;
-        {
-            let LuFactors { etas, pat, .. } = self;
-            // Eta transposes on the dense vector (ProductForm): identical
-            // to the scanning kernel; targets extend the pattern.
-            for eta in etas.iter().rev() {
-                let mut dot = 0.0;
-                for &(i, val) in &eta.entries {
-                    dot += val * x[i];
-                }
-                x[eta.r] = (x[eta.r] - dot) / eta.pivot;
-                pat.push(eta.r);
-                visited += eta.entries.len() as u64 + 1;
-            }
-        }
         {
             // Pattern positions → starting slots (deduped via marks).
             let LuFactors {
@@ -1739,21 +1461,14 @@ impl LuFactors {
     /// Records a pivot: the basic column at position `r` is replaced by a
     /// column whose FTRANed form is `w` (so `w[r]` is the pivot element).
     ///
-    /// Under [`UpdateRule::ProductForm`] this appends one eta
-    /// (`O(nnz(w))`, never fails). Under [`UpdateRule::ForrestTomlin`]
-    /// the stored `U` is modified in place; returns `false` when the
-    /// updated diagonal would be numerically degenerate — the caller must
-    /// then refactorise from the (already updated) basis columns instead.
+    /// The stored `U` is modified in place (Forrest–Tomlin); returns
+    /// `false` when the updated diagonal would be numerically degenerate
+    /// — the caller must then refactorise from the (already updated)
+    /// basis columns instead. `opts` only feeds the growth statistics.
     pub fn update(&mut self, r: usize, w: &[f64], opts: &FactorOpts) -> bool {
         debug_assert_eq!(w.len(), self.m);
         debug_assert!(w[r] != 0.0, "pivot element must be non-zero");
-        let ok = match opts.update {
-            UpdateRule::ProductForm => {
-                self.update_product_form(r, w);
-                true
-            }
-            UpdateRule::ForrestTomlin => self.update_forrest_tomlin(r, w),
-        };
+        let ok = self.update_forrest_tomlin(r, w);
         if ok {
             self.updates += 1;
             self.stats.updates += 1;
@@ -1769,24 +1484,6 @@ impl LuFactors {
             }
         }
         ok
-    }
-
-    /// Product-form update: append one eta holding the transformed column.
-    fn update_product_form(&mut self, r: usize, w: &[f64]) {
-        let entries: Vec<(usize, f64)> = w
-            .iter()
-            .enumerate()
-            .filter(|&(i, &v)| i != r && v != 0.0)
-            .map(|(i, &v)| (i, v))
-            .collect();
-        self.work += entries.len() as u64 + 1;
-        self.file_nnz += entries.len() + 1;
-        self.stats.update_nnz += entries.len() as u64 + 1;
-        self.etas.push(Eta {
-            r,
-            pivot: w[r],
-            entries,
-        });
     }
 
     /// Forrest–Tomlin update: replace the `U` column of the leaving
@@ -1991,9 +1688,10 @@ impl LuFactors {
     }
 }
 
-/// Explicit dense `m × m` basis inverse — the original engine's
-/// representation, kept as the correctness oracle for [`LuFactors`] and
-/// selectable via [`LpEngine::DenseInverse`](crate::simplex::LpEngine).
+/// Explicit dense `m × m` basis inverse: `O(m³)` Gauss–Jordan
+/// factorisation with partial pivoting and `O(m²)` rank-one pivot
+/// updates. The reference the property tests check [`LuFactors`] solves
+/// and updates against; no engine runs on it.
 #[derive(Debug, Clone)]
 pub struct DenseInverse {
     m: usize,
@@ -2001,63 +1699,21 @@ pub struct DenseInverse {
     /// maps constraint row `k` to basis position `i`.
     binv: Vec<f64>,
     scratch: Vec<f64>,
-    work: u64,
 }
 
 impl DenseInverse {
     /// The identity inverse for an `m`-row basis.
     #[must_use]
     pub fn identity(m: usize) -> Self {
-        let mut inv = DenseInverse {
+        let mut binv = vec![0.0; m * m];
+        for i in 0..m {
+            binv[i * m + i] = 1.0;
+        }
+        DenseInverse {
             m,
-            binv: vec![0.0; m * m],
+            binv,
             scratch: vec![0.0; m],
-            work: 0,
-        };
-        inv.reset_identity();
-        inv
-    }
-
-    /// Resets to the identity basis.
-    pub fn reset_identity(&mut self) {
-        self.binv.fill(0.0);
-        for i in 0..self.m {
-            self.binv[i * self.m + i] = 1.0;
         }
-        self.work += self.m as u64;
-    }
-
-    /// Drains the deterministic work metered since the last call.
-    pub fn take_work(&mut self) -> u64 {
-        std::mem::take(&mut self.work)
-    }
-
-    /// Grows the inverse in place by `borders.len()` appended rows whose
-    /// basic columns are the new logical slacks: with
-    /// `B' = [[B, 0], [N, I]]`, the inverse is exactly
-    /// `[[B⁻¹, 0], [−N B⁻¹, I]]`, so each new row of `binv` is the
-    /// negated multiplier vector `μ_i = B⁻ᵀ n_i` (same convention as
-    /// [`LuFactors::grow`]) followed by the unit diagonal — no
-    /// refactorisation, `O((m + k)²)` for the copy.
-    pub fn grow(&mut self, borders: &[Vec<(usize, f64)>]) {
-        let k = borders.len();
-        let m0 = self.m;
-        let m = m0 + k;
-        let mut binv = vec![0.0f64; m * m];
-        for i in 0..m0 {
-            binv[i * m..i * m + m0].copy_from_slice(&self.binv[i * m0..(i + 1) * m0]);
-        }
-        for (i, entries) in borders.iter().enumerate() {
-            let r = m0 + i;
-            for &(j, mu) in entries {
-                binv[r * m + j] = -mu;
-            }
-            binv[r * m + r] = 1.0;
-        }
-        self.m = m;
-        self.binv = binv;
-        self.scratch.resize(m, 0.0);
-        self.work += (m * m) as u64;
     }
 
     /// Gauss–Jordan inversion of the basis matrix with partial pivoting;
@@ -2120,7 +1776,6 @@ impl DenseInverse {
                 }
             }
         }
-        self.work += (m * m * m) as u64;
         true
     }
 
@@ -2133,7 +1788,6 @@ impl DenseInverse {
             self.scratch[i] = row.iter().zip(x.iter()).map(|(&v, &r)| v * r).sum();
         }
         x.copy_from_slice(&self.scratch);
-        self.work += (m * m) as u64;
     }
 
     /// BTRAN: overwrites `x` (position-indexed) with `B⁻ᵀ x`
@@ -2151,13 +1805,6 @@ impl DenseInverse {
             }
         }
         x.copy_from_slice(&self.scratch);
-        self.work += (m * m) as u64;
-    }
-
-    /// Copies row `r` of `B⁻¹` (`= e_rᵀ B⁻¹`) into `out`.
-    pub fn btran_unit(&mut self, r: usize, out: &mut [f64]) {
-        out.copy_from_slice(&self.binv[r * self.m..(r + 1) * self.m]);
-        self.work += self.m as u64;
     }
 
     /// Rank-one basis-inverse update after a pivot at row `r` with
@@ -2180,171 +1827,12 @@ impl DenseInverse {
                 }
             }
         }
-        self.work += (m * m) as u64;
-    }
-}
-
-/// The engine-facing dispatch over the two representations.
-#[derive(Debug, Clone)]
-pub(crate) enum Factorization {
-    /// Sparse LU with Forrest–Tomlin or product-form updates (boxed:
-    /// the LU machinery is an order of magnitude larger than the dense
-    /// oracle's handle).
-    Lu(Box<LuFactors>),
-    /// Explicit dense inverse (oracle / fallback representation).
-    Dense(DenseInverse),
-}
-
-impl Factorization {
-    pub(crate) fn reset_identity(&mut self) {
-        match self {
-            Factorization::Lu(f) => f.reset_identity(),
-            Factorization::Dense(f) => f.reset_identity(),
-        }
-    }
-
-    pub(crate) fn factorize(&mut self, cols: &[usize], a: &CscMatrix, n_struct: usize) -> bool {
-        match self {
-            Factorization::Lu(f) => f.factorize(cols, a, n_struct),
-            Factorization::Dense(f) => f.factorize(cols, a, n_struct),
-        }
-    }
-
-    pub(crate) fn ftran(&mut self, x: &mut [f64]) {
-        match self {
-            Factorization::Lu(f) => f.ftran(x),
-            Factorization::Dense(f) => f.ftran(x),
-        }
-    }
-
-    /// BTRAN with the pattern discovered by scanning `x` (property-test
-    /// entry point; the engine always knows its patterns and calls
-    /// [`btran_sparse`](Self::btran_sparse)).
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn btran(&mut self, x: &mut [f64]) {
-        match self {
-            Factorization::Lu(f) => f.btran(x),
-            Factorization::Dense(f) => f.btran(x),
-        }
-    }
-
-    /// BTRAN with a known RHS pattern (superset of non-zero positions);
-    /// the dense oracle ignores the hint.
-    pub(crate) fn btran_sparse(&mut self, x: &mut [f64], pattern: &[usize]) {
-        match self {
-            Factorization::Lu(f) => f.btran_sparse(x, pattern),
-            Factorization::Dense(f) => f.btran(x),
-        }
-    }
-
-    /// FTRAN that also records the result's non-zero pattern into
-    /// `result` (a superset; exact zeros may appear). Returns `true` when
-    /// the pattern is valid — `false` means a dense kernel ran and the
-    /// caller must fall back to scanning the dense result.
-    pub(crate) fn ftran_sparse_tracked(
-        &mut self,
-        x: &mut [f64],
-        pattern: &[usize],
-        result: &mut Vec<usize>,
-    ) -> bool {
-        match self {
-            Factorization::Lu(f) => f.ftran_sparse_tracked(x, pattern, result),
-            Factorization::Dense(f) => {
-                f.ftran(x);
-                false
-            }
-        }
-    }
-
-    /// Unit-vector BTRAN (row `r` of `B⁻¹`) that also records the
-    /// result's non-zero pattern into `result`. `out` must be all-zero on
-    /// entry. Returns `false` when a dense kernel ran (no pattern).
-    pub(crate) fn btran_unit_tracked(
-        &mut self,
-        r: usize,
-        out: &mut [f64],
-        result: &mut Vec<usize>,
-    ) -> bool {
-        match self {
-            Factorization::Lu(f) => f.btran_unit_tracked(r, out, result),
-            Factorization::Dense(f) => {
-                f.btran_unit(r, out);
-                false
-            }
-        }
-    }
-
-    /// Applies a pivot update under the configured rule. Returns `false`
-    /// when the representation could not absorb the pivot (Forrest–Tomlin
-    /// degenerate diagonal) — the caller must refactorise from the
-    /// updated basis columns before the next solve.
-    pub(crate) fn update(&mut self, r: usize, w: &[f64], opts: &FactorOpts) -> bool {
-        match self {
-            Factorization::Lu(f) => f.update(r, w, opts),
-            Factorization::Dense(f) => {
-                f.update(r, w);
-                true
-            }
-        }
-    }
-
-    /// Grows the representation in place by appended rows (new logical
-    /// slacks basic); `borders[i]` holds `μ_i = B⁻ᵀ n_i` computed by the
-    /// caller against the *pre-growth* factors. Exact under both
-    /// representations — the LU keeps the border as a recorded transform
-    /// (counted against the update-file policy), the dense inverse
-    /// materialises the grown inverse outright.
-    pub(crate) fn grow(&mut self, borders: Vec<Vec<(usize, f64)>>) {
-        match self {
-            Factorization::Lu(f) => f.grow(borders),
-            Factorization::Dense(f) => f.grow(&borders),
-        }
-    }
-
-    /// Whether the accumulated updates warrant a fresh factorisation.
-    /// The dense inverse is updated in place and never refactorises
-    /// mid-run (matching the original engine); the LU representation
-    /// follows the update-file policy in `opts`.
-    pub(crate) fn needs_refactor(&self, opts: &FactorOpts) -> bool {
-        match self {
-            Factorization::Lu(f) => f.needs_refactor(opts),
-            Factorization::Dense(_) => false,
-        }
-    }
-
-    pub(crate) fn take_work(&mut self) -> u64 {
-        match self {
-            Factorization::Lu(f) => f.take_work(),
-            Factorization::Dense(f) => f.take_work(),
-        }
-    }
-
-    /// Drains the LU statistics (zero for the dense oracle).
-    pub(crate) fn take_stats(&mut self) -> FactorStats {
-        match self {
-            Factorization::Lu(f) => f.take_stats(),
-            Factorization::Dense(_) => FactorStats::default(),
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn pf_opts() -> FactorOpts {
-        FactorOpts {
-            update: UpdateRule::ProductForm,
-            ..FactorOpts::default()
-        }
-    }
-
-    fn ft_opts() -> FactorOpts {
-        FactorOpts {
-            update: UpdateRule::ForrestTomlin,
-            ..FactorOpts::default()
-        }
-    }
 
     /// 3×3 matrix with a sparse structure and a known inverse action.
     fn sample_csc() -> CscMatrix {
@@ -2399,8 +1887,9 @@ mod tests {
             let mut u1 = vec![0.0; 3];
             let mut u2 = vec![0.0; 3];
             u1[r] = 1.0;
+            u2[r] = 1.0;
             lu.btran(&mut u1);
-            dense.btran_unit(r, &mut u2);
+            dense.btran(&mut u2);
             for (a, b) in u1.iter().zip(&u2) {
                 assert!((a - b).abs() < 1e-12, "row {r}: {u1:?} vs {u2:?}");
             }
@@ -2419,38 +1908,37 @@ mod tests {
     }
 
     #[test]
-    fn updates_track_dense_rank_one_under_both_rules() {
-        for opts in [pf_opts(), ft_opts()] {
-            let a = sample_csc();
-            let cols = vec![3, 4, 5]; // all-slack identity basis
-            let mut lu = LuFactors::identity(3);
-            let mut dense = DenseInverse::identity(3);
-            assert!(lu.factorize(&cols, &a, 3));
-            assert!(dense.factorize(&cols, &a, 3));
-            // Pivot structural column 0 into row 0.
-            let mut w1 = vec![0.0; 3];
-            a.axpy_col(&mut w1, 1.0, 0);
-            let mut w2 = w1.clone();
-            lu.ftran(&mut w1);
-            dense.ftran(&mut w2);
-            assert!(lu.update(0, &w1, &opts), "{opts:?}");
-            dense.update(0, &w2);
-            assert_eq!(lu.update_count(), 1);
-            let rhs = [5.0, -1.0, 2.0];
-            let mut x1 = rhs;
-            let mut x2 = rhs;
-            lu.ftran(&mut x1);
-            dense.ftran(&mut x2);
-            for (a, b) in x1.iter().zip(&x2) {
-                assert!((a - b).abs() < 1e-12, "{opts:?}: {x1:?} vs {x2:?}");
-            }
-            let mut y1 = rhs;
-            let mut y2 = rhs;
-            lu.btran(&mut y1);
-            dense.btran(&mut y2);
-            for (a, b) in y1.iter().zip(&y2) {
-                assert!((a - b).abs() < 1e-12, "{opts:?}: {y1:?} vs {y2:?}");
-            }
+    fn updates_track_dense_rank_one() {
+        let opts = FactorOpts::default();
+        let a = sample_csc();
+        let cols = vec![3, 4, 5]; // all-slack identity basis
+        let mut lu = LuFactors::identity(3);
+        let mut dense = DenseInverse::identity(3);
+        assert!(lu.factorize(&cols, &a, 3));
+        assert!(dense.factorize(&cols, &a, 3));
+        // Pivot structural column 0 into row 0.
+        let mut w1 = vec![0.0; 3];
+        a.axpy_col(&mut w1, 1.0, 0);
+        let mut w2 = w1.clone();
+        lu.ftran(&mut w1);
+        dense.ftran(&mut w2);
+        assert!(lu.update(0, &w1, &opts));
+        dense.update(0, &w2);
+        assert_eq!(lu.update_count(), 1);
+        let rhs = [5.0, -1.0, 2.0];
+        let mut x1 = rhs;
+        let mut x2 = rhs;
+        lu.ftran(&mut x1);
+        dense.ftran(&mut x2);
+        for (a, b) in x1.iter().zip(&x2) {
+            assert!((a - b).abs() < 1e-12, "{x1:?} vs {x2:?}");
+        }
+        let mut y1 = rhs;
+        let mut y2 = rhs;
+        lu.btran(&mut y1);
+        dense.btran(&mut y2);
+        for (a, b) in y1.iter().zip(&y2) {
+            assert!((a - b).abs() < 1e-12, "{y1:?} vs {y2:?}");
         }
     }
 
@@ -2460,7 +1948,6 @@ mod tests {
         let tight = FactorOpts {
             refactor_interval: 0,
             eta_fill_factor: 0.0,
-            ..FactorOpts::default()
         };
         assert!(lu.needs_refactor(&tight));
         let loose = FactorOpts::default();
@@ -2468,9 +1955,10 @@ mod tests {
     }
 
     /// Pins the fill-trigger point of the refactor policy: with
-    /// `lu_nnz = m` (identity basis) and `eta_fill_factor = 2.0`, the
-    /// bound is exactly `2m` update non-zeros — not `2·(m + m)` as the
-    /// old double-counted formula had it.
+    /// `eta_fill_factor = 1.0` the policy fires exactly when
+    /// `update_nnz > lu_nnz` — not at `lu_nnz + m` as an old
+    /// double-counted formula had it. Border multipliers grow the update
+    /// file by a known count (and `lu_nnz` by one unit diagonal per row).
     #[test]
     fn refactor_fill_bound_is_exact() {
         let m = 4;
@@ -2480,86 +1968,20 @@ mod tests {
         assert_eq!(lu.lu_nnz(), m);
         let opts = FactorOpts {
             refactor_interval: 1000,
-            eta_fill_factor: 2.0,
-            update: UpdateRule::ProductForm,
-            ..FactorOpts::default()
+            eta_fill_factor: 1.0,
         };
-        // Each eta below carries exactly 2 nnz (pivot + 1 off-diagonal).
-        let mut w = vec![0.0; m];
-        w[0] = 2.0;
-        w[1] = 1.0;
-        for k in 0..4 {
-            assert!(
-                !lu.needs_refactor(&opts),
-                "fired early at {} nnz (bound {})",
-                lu.update_nnz(),
-                2 * m
-            );
-            assert!(lu.update(0, &w, &opts));
-            assert_eq!(lu.update_nnz(), 2 * (k + 1));
-        }
-        // 8 nnz = 2·m: the bound is inclusive (trigger is strict >).
-        assert_eq!(lu.update_nnz(), 2 * m);
+        lu.grow(vec![vec![(0, 1.0), (1, 1.0), (2, 1.0), (3, 1.0)]]);
+        assert_eq!((lu.update_nnz(), lu.lu_nnz()), (4, 5));
         assert!(!lu.needs_refactor(&opts));
-        assert!(lu.update(0, &w, &opts));
-        // 10 nnz > 2·m: must fire now. Under the old `+ m` double-count
-        // the bound would have been 16 and this would still be quiet.
+        lu.grow(vec![vec![(0, 1.0), (4, 1.0)]]);
+        // 6 nnz = lu_nnz: the bound is inclusive (trigger is strict >).
+        assert_eq!((lu.update_nnz(), lu.lu_nnz()), (6, 6));
+        assert!(!lu.needs_refactor(&opts));
+        lu.grow(vec![vec![(1, 1.0), (5, 1.0)]]);
+        // 8 nnz > 7: must fire now. Under the old `+ m` double-count the
+        // bound would have been 14 and this would still be quiet.
+        assert_eq!((lu.update_nnz(), lu.lu_nnz()), (8, 7));
         assert!(lu.needs_refactor(&opts));
-    }
-
-    #[test]
-    fn forrest_tomlin_keeps_solves_flat_vs_product_form() {
-        // After many pivots on the same factorisation, FTRAN under FT
-        // must not grow with the pivot count the way the eta file does.
-        let m = 16;
-        let cols: Vec<Vec<(usize, f64)>> =
-            (0..m).map(|j| vec![(j, 2.0), ((j + 1) % m, 1.0)]).collect();
-        let a = CscMatrix::from_columns(m, &cols);
-        let slack: Vec<usize> = (m..2 * m).collect();
-        let mut pf = LuFactors::identity(m);
-        let mut ft = LuFactors::identity(m);
-        assert!(pf.factorize(&slack, &a, m));
-        assert!(ft.factorize(&slack, &a, m));
-        let popts = pf_opts();
-        let fopts = ft_opts();
-        for j in 0..m {
-            let mut w1 = vec![0.0; m];
-            a.axpy_col(&mut w1, 1.0, j);
-            let mut w2 = w1.clone();
-            pf.ftran(&mut w1);
-            ft.ftran(&mut w2);
-            for (x, y) in w1.iter().zip(&w2) {
-                assert!((x - y).abs() < 1e-9, "pivot {j}");
-            }
-            assert!(pf.update(j, &w1, &popts));
-            assert!(ft.update(j, &w2, &fopts));
-        }
-        // Eta file carries one eta per pivot; the FT update file stays
-        // bounded by the row-transform fill, far below the eta total.
-        assert_eq!(pf.update_count(), m);
-        assert_eq!(ft.update_count(), m);
-        assert!(
-            ft.update_nnz() < pf.update_nnz(),
-            "ft {} vs pf {}",
-            ft.update_nnz(),
-            pf.update_nnz()
-        );
-        // And the two still agree on solves.
-        let rhs: Vec<f64> = (0..m).map(|i| (i as f64) - 7.0).collect();
-        let mut x1 = rhs.clone();
-        let mut x2 = rhs.clone();
-        pf.ftran(&mut x1);
-        ft.ftran(&mut x2);
-        for (x, y) in x1.iter().zip(&x2) {
-            assert!((x - y).abs() < 1e-8, "{x1:?} vs {x2:?}");
-        }
-        let mut y1 = rhs.clone();
-        let mut y2 = rhs;
-        pf.btran(&mut y1);
-        ft.btran(&mut y2);
-        for (x, y) in y1.iter().zip(&y2) {
-            assert!((x - y).abs() < 1e-8, "{y1:?} vs {y2:?}");
-        }
     }
 
     #[test]
@@ -2595,7 +2017,7 @@ mod tests {
     /// `fac`: `n_i` scatters each new row's coefficients on the basic
     /// structural columns by their basis position.
     fn borders_for(
-        fac: &mut Factorization,
+        fac: &mut LuFactors,
         cols: &[usize],
         n_struct: usize,
         rows: &[Vec<(usize, f64)>],
@@ -2624,9 +2046,8 @@ mod tests {
 
     /// In-place growth must agree with a from-scratch factorisation of
     /// the grown basis — on solves immediately after the growth *and*
-    /// after further pivot updates under both update rules, for both
-    /// representations. This is the exactness contract behind
-    /// `LpSession::add_rows` absorbing cutting planes without a
+    /// after a further pivot update. This is the exactness contract
+    /// behind `LpSession::add_rows` absorbing cutting planes without a
     /// refactorisation.
     #[test]
     fn grow_matches_refactorised_basis_under_further_updates() {
@@ -2636,71 +2057,51 @@ mod tests {
         let big = a.append_rows(&new_rows);
         let cols = vec![0, 4, 2]; // structural 0, slack of row 1, structural 2
         let grown_cols = vec![0, 4, 2, 3 + 3, 3 + 4]; // + new slacks
-        for opts in [pf_opts(), ft_opts()] {
-            let mut lu = Factorization::Lu(Box::new(LuFactors::identity(3)));
-            let mut dn = Factorization::Dense(DenseInverse::identity(3));
-            assert!(lu.factorize(&cols, &a, 3));
-            assert!(dn.factorize(&cols, &a, 3));
-            let lb = borders_for(&mut lu, &cols, 3, &new_rows);
-            let db = borders_for(&mut dn, &cols, 3, &new_rows);
-            lu.grow(lb);
-            dn.grow(db);
-            let mut fresh = Factorization::Lu(Box::new(LuFactors::identity(5)));
-            assert!(fresh.factorize(&grown_cols, &big, 3));
-            let rhs = [3.0, -1.0, 2.0, 0.5, -4.0];
-            for fac in [&mut lu, &mut dn] {
-                let mut x1 = rhs;
-                let mut x2 = rhs;
-                fac.ftran(&mut x1);
-                fresh.ftran(&mut x2);
-                for (p, q) in x1.iter().zip(&x2) {
-                    assert!(
-                        (p - q).abs() < 1e-9,
-                        "{opts:?}: grown ftran {x1:?} vs {x2:?}"
-                    );
-                }
-                let mut y1 = rhs;
-                let mut y2 = rhs;
-                fac.btran(&mut y1);
-                fresh.btran(&mut y2);
-                for (p, q) in y1.iter().zip(&y2) {
-                    assert!(
-                        (p - q).abs() < 1e-9,
-                        "{opts:?}: grown btran {y1:?} vs {y2:?}"
-                    );
-                }
-            }
-            // Pivot structural column 1 into the last (appended) row on
-            // every representation: updates must keep composing exactly
-            // against the border.
-            let mut w_big: Vec<f64> = vec![0.0; 5];
-            big.axpy_col(&mut w_big, 1.0, 1);
-            let mut w_lu = w_big.clone();
-            let mut w_dn = w_big.clone();
-            let mut w_fresh = w_big;
-            lu.ftran(&mut w_lu);
-            dn.ftran(&mut w_dn);
-            fresh.ftran(&mut w_fresh);
-            assert!(lu.update(4, &w_lu, &opts));
-            assert!(dn.update(4, &w_dn, &opts));
-            assert!(fresh.update(4, &w_fresh, &opts));
-            let rhs = [1.0, 0.0, -2.0, 3.0, 1.5];
-            let mut want_f = rhs;
-            fresh.ftran(&mut want_f);
-            let mut want_b = rhs;
-            fresh.btran(&mut want_b);
-            for fac in [&mut lu, &mut dn] {
-                let mut x = rhs;
-                fac.ftran(&mut x);
-                for (p, q) in x.iter().zip(&want_f) {
-                    assert!((p - q).abs() < 1e-9, "{opts:?}: post-update ftran");
-                }
-                let mut y = rhs;
-                fac.btran(&mut y);
-                for (p, q) in y.iter().zip(&want_b) {
-                    assert!((p - q).abs() < 1e-9, "{opts:?}: post-update btran");
-                }
-            }
+        let opts = FactorOpts::default();
+        let mut lu = LuFactors::identity(3);
+        assert!(lu.factorize(&cols, &a, 3));
+        let borders = borders_for(&mut lu, &cols, 3, &new_rows);
+        lu.grow(borders);
+        let mut fresh = LuFactors::identity(5);
+        assert!(fresh.factorize(&grown_cols, &big, 3));
+        let rhs = [3.0, -1.0, 2.0, 0.5, -4.0];
+        let mut x1 = rhs;
+        let mut x2 = rhs;
+        lu.ftran(&mut x1);
+        fresh.ftran(&mut x2);
+        for (p, q) in x1.iter().zip(&x2) {
+            assert!((p - q).abs() < 1e-9, "grown ftran {x1:?} vs {x2:?}");
+        }
+        let mut y1 = rhs;
+        let mut y2 = rhs;
+        lu.btran(&mut y1);
+        fresh.btran(&mut y2);
+        for (p, q) in y1.iter().zip(&y2) {
+            assert!((p - q).abs() < 1e-9, "grown btran {y1:?} vs {y2:?}");
+        }
+        // Pivot structural column 1 into the last (appended) row on both:
+        // updates must keep composing exactly against the border.
+        let mut w_lu: Vec<f64> = vec![0.0; 5];
+        big.axpy_col(&mut w_lu, 1.0, 1);
+        let mut w_fresh = w_lu.clone();
+        lu.ftran(&mut w_lu);
+        fresh.ftran(&mut w_fresh);
+        assert!(lu.update(4, &w_lu, &opts));
+        assert!(fresh.update(4, &w_fresh, &opts));
+        let rhs = [1.0, 0.0, -2.0, 3.0, 1.5];
+        let mut want_f = rhs;
+        fresh.ftran(&mut want_f);
+        let mut want_b = rhs;
+        fresh.btran(&mut want_b);
+        let mut x = rhs;
+        lu.ftran(&mut x);
+        for (p, q) in x.iter().zip(&want_f) {
+            assert!((p - q).abs() < 1e-9, "post-update ftran");
+        }
+        let mut y = rhs;
+        lu.btran(&mut y);
+        for (p, q) in y.iter().zip(&want_b) {
+            assert!((p - q).abs() < 1e-9, "post-update btran");
         }
     }
 
@@ -2715,14 +2116,14 @@ mod tests {
         let mid = a.append_rows(&rows1);
         let big = mid.append_rows(&rows2);
         let cols = vec![0, 4, 2];
-        let mut lu = Factorization::Lu(Box::new(LuFactors::identity(3)));
+        let mut lu = LuFactors::identity(3);
         assert!(lu.factorize(&cols, &a, 3));
         let b1 = borders_for(&mut lu, &cols, 3, &rows1);
         lu.grow(b1);
         let cols_mid = vec![0, 4, 2, 6];
         let b2 = borders_for(&mut lu, &cols_mid, 3, &rows2);
         lu.grow(b2);
-        let mut fresh = Factorization::Lu(Box::new(LuFactors::identity(5)));
+        let mut fresh = LuFactors::identity(5);
         assert!(fresh.factorize(&[0, 4, 2, 6, 7], &big, 3));
         let rhs = [2.0, 1.0, -1.0, 4.0, 0.25];
         let mut x1 = rhs;
@@ -2754,7 +2155,6 @@ mod tests {
         let opts = FactorOpts {
             refactor_interval: 1000,
             eta_fill_factor: 0.0,
-            ..FactorOpts::default()
         };
         assert!(lu.needs_refactor(&opts));
     }

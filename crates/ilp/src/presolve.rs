@@ -5,7 +5,7 @@
 //! [`Postsolve`] stack that losslessly maps any solution of the reduced
 //! model back to the original variable space. The solver presolves once at
 //! the root; every LP relaxation in the tree then runs on the reduced
-//! matrix, so each FTRAN/BTRAN, eta update and pricing pass touches fewer
+//! matrix, so each FTRAN/BTRAN, basis update and pricing pass touches fewer
 //! nonzeros.
 //!
 //! Each reduction is a [`Reduction`] implementation over a shared

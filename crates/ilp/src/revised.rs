@@ -1,15 +1,13 @@
-//! Sparse revised simplex with bounded-variable dual reoptimisation.
+//! Sparse revised simplex with bounded-variable dual reoptimisation —
+//! the engine behind every [`LpSession`](crate::LpSession) solve.
 //!
-//! This is the fast path behind [`crate::simplex::solve_relaxation_warm`].
-//! Instead of the dense `B⁻¹A` tableau of the fallback engine, it keeps:
+//! Instead of the dense `B⁻¹A` tableau of the fallback path, it keeps:
 //!
 //! * the constraint matrix `A` once, in CSC form (shared via
 //!   [`Model::csc`]),
-//! * the basis in factorised form ([`crate::factor`]): a sparse LU with
-//!   product-form eta updates by default (`O(nnz)`-flavoured FTRAN/BTRAN
-//!   solves, one eta per pivot, periodic refactorisation), or the
-//!   explicit dense `m × m` inverse of the original engine behind
-//!   [`LpEngine::DenseInverse`] (the correctness oracle),
+//! * the basis as a sparse LU ([`crate::factor::LuFactors`]): dynamic
+//!   Markowitz refactorisation, in-place Forrest–Tomlin updates between
+//!   refactorisations, and hyper-sparse FTRAN/BTRAN solves,
 //! * reduced costs priced through sparse columns (`O(nnz)` per pivot).
 //!
 //! The dual simplex selects its leaving row with **Devex
@@ -52,21 +50,20 @@
 //! and diving loops, where consecutive solves differ by one bound), the
 //! context applies the bound deltas directly to `β` with a single FTRAN —
 //! no factorisation at all. Otherwise the basis is reinstalled from the
-//! snapshot with one refactorisation (sparse LU by default, `O(m³)` only
-//! on the dense oracle path), still far cheaper than a cold two-phase
-//! tableau solve.
+//! snapshot with one sparse LU refactorisation, still far cheaper than a
+//! cold two-phase tableau solve.
 //!
 //! Any situation the engine cannot handle — a dual-infeasible start (e.g.
 //! an improving direction with an infinite bound), a singular warm basis,
 //! numerical trouble, or a final solution that fails verification — makes
-//! it bail out, and the caller falls back to the robust dense two-phase
-//! primal simplex.
+//! it bail out, and the session falls back to the dense two-phase primal
+//! tableau ([`crate::simplex::solve_relaxation_dense`]).
 
 use crate::basis::{Basis, VarStatus};
 use crate::expr::ConstraintSense;
-use crate::factor::{DenseInverse, FactorOpts, Factorization, LuFactors};
+use crate::factor::{FactorOpts, LuFactors};
 use crate::model::Model;
-use crate::simplex::{LpConfig, LpEngine, LpResult, LpStatus, PricingRule, TOL};
+use crate::simplex::{LpConfig, LpResult, LpStatus, PricingRule, TOL};
 use crate::sparse::{CscMatrix, RowMajor};
 use crate::tol;
 use std::sync::Arc;
@@ -157,11 +154,10 @@ struct Engine {
     basis: Vec<usize>,
     /// Inverse map: column -> row, or `usize::MAX` when nonbasic.
     in_row: Vec<usize>,
-    /// Basis factorisation (sparse LU + eta file, or dense inverse).
-    factor: Factorization,
-    /// Engine/pricing options this engine was built with; a hot reuse
+    /// Basis factorisation (sparse LU + Forrest–Tomlin update file).
+    factor: LuFactors,
+    /// Factor/pricing options this engine was built with; a hot reuse
     /// with different options must miss and rebuild.
-    kind: LpEngine,
     opts: FactorOpts,
     pricing: PricingRule,
     bound_flips: bool,
@@ -271,19 +267,6 @@ impl Engine {
             cost[v.index()] = c;
         }
         let cost_nnz = cost.iter().filter(|&&c| c != 0.0).count();
-        let factor = match config.engine {
-            LpEngine::SparseLu => {
-                let mut lu = Box::new(LuFactors::identity(m));
-                lu.set_ordering(config.factor_opts().ordering);
-                Factorization::Lu(lu)
-            }
-            // The tableau-only engine never reaches this code path (it is
-            // gated in `solve_relaxation_in`); map it to the dense oracle
-            // so a stray construction still behaves.
-            LpEngine::DenseInverse | LpEngine::DenseTableau => {
-                Factorization::Dense(DenseInverse::identity(m))
-            }
-        };
         let rows = a.to_row_major();
         Engine {
             a,
@@ -300,8 +283,7 @@ impl Engine {
             status: vec![VarStatus::AtLower; n_total],
             basis: vec![0; m],
             in_row: vec![usize::MAX; n_total],
-            factor,
-            kind: config.engine,
+            factor: LuFactors::identity(m),
             opts: config.factor_opts(),
             pricing: config.pricing,
             bound_flips: config.bound_flips,
@@ -341,13 +323,12 @@ impl Engine {
 
     /// Returns `true` if this engine's live state is exactly the snapshot
     /// `warm` for the same constraint matrix *and* objective, under the
-    /// same engine options. The cost check matters: the hot path reuses
-    /// the engine's reduced costs, so a caller that mutated the objective
-    /// between solves must not land here (it falls through to the install
-    /// path, which reprices).
+    /// same factor and pricing options. The cost check matters: the hot
+    /// path reuses the engine's reduced costs, so a caller that mutated
+    /// the objective between solves must not land here (it falls through
+    /// to the install path, which reprices).
     fn matches(&self, model: &Model, warm: &Basis, config: &LpConfig) -> bool {
-        self.kind == config.engine
-            && self.opts == config.factor_opts()
+        self.opts == config.factor_opts()
             && self.pricing == config.pricing
             && self.bound_flips == config.bound_flips
             && Arc::ptr_eq(&self.a, &model.csc())
@@ -1139,7 +1120,7 @@ impl Engine {
                 }
                 self.work += visited + 2 * self.apat.len() as u64;
             } else {
-                // Dense ρ (or the dense oracle): the classic column sweep.
+                // Dense ρ: the classic column sweep.
                 for j in 0..self.n_total {
                     if self.status[j] == VarStatus::Basic {
                         self.alpha[j] = 0.0;
@@ -1392,11 +1373,10 @@ impl Engine {
             self.basis[r] = q;
             self.iterations += 1;
 
-            // Representation update: in-place Forrest–Tomlin spike / one
-            // eta (LU), or a rank-one sweep (dense oracle). An update the
-            // representation cannot absorb (a numerically degenerate
-            // Forrest–Tomlin diagonal) forces an immediate
-            // refactorisation, exactly like the update-file policy.
+            // Representation update: in-place Forrest–Tomlin spike. An
+            // update the factors cannot absorb (a numerically degenerate
+            // diagonal) forces an immediate refactorisation, exactly like
+            // the update-file policy.
             let absorbed = self.factor.update(r, &self.w, &self.opts);
             self.work += self.factor.take_work();
 
@@ -1544,7 +1524,7 @@ impl LpContext {
         match hot {
             Hot::Done(Some(out), spent) => {
                 if out.0.status == LpStatus::Infeasible {
-                    // A drifted factorisation (eta updates + retarget
+                    // A drifted factorisation (basis updates + retarget
                     // deltas) can fabricate infeasibility, and
                     // branch-and-bound prunes on it permanently. Confirm
                     // with a freshly factorised install of the same
@@ -1768,12 +1748,9 @@ fn run(engine: &mut Engine, model: &Model, config: &LpConfig) -> Option<(LpResul
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // exercises the deprecated shims as oracles
 mod tests {
     use super::*;
-    use crate::factor::UpdateRule;
-    use crate::simplex::solve_relaxation_warm;
-    use crate::Model;
+    use crate::{LpSession, Model};
 
     fn cfg() -> LpConfig {
         LpConfig::default()
@@ -1802,25 +1779,6 @@ mod tests {
             res.objective
         );
         assert!(basis.expect("basis on optimal").is_consistent(2, 4));
-    }
-
-    #[test]
-    fn cold_solve_agrees_across_engines() {
-        let m = two_var_model();
-        let bounds = vec![(0.0, 10.0), (0.0, 10.0)];
-        for engine in [LpEngine::SparseLu, LpEngine::DenseInverse] {
-            let config = LpConfig {
-                engine,
-                ..LpConfig::default()
-            };
-            let (res, _) = solve(&m, &bounds, &config, None).expect("revised path");
-            assert_eq!(res.status, LpStatus::Optimal);
-            assert!(
-                (res.objective + 14.0 / 5.0).abs() < 1e-6,
-                "{engine:?}: {}",
-                res.objective
-            );
-        }
     }
 
     #[test]
@@ -1870,11 +1828,11 @@ mod tests {
         m.add_constraint("need2", m.expr([(x, 1.0), (y, 1.0)]).geq(2.0));
         m.set_objective(m.expr([(x, 1.0), (y, 1.0)]));
         let root = vec![(0.0, 1.0), (0.0, 1.0)];
-        let out = solve_relaxation_warm(&m, &root, &cfg(), None);
+        let out = LpSession::open(&m, cfg()).solve(&root, None);
         let basis = out.basis.expect("root optimal");
         // Fixing x = 0 makes the cover impossible.
         let child = vec![(0.0, 0.0), (0.0, 1.0)];
-        let warm = solve_relaxation_warm(&m, &child, &cfg(), Some(&basis));
+        let warm = LpSession::open(&m, cfg()).solve(&child, Some(&basis));
         assert_eq!(warm.result.status, LpStatus::Infeasible);
     }
 
@@ -1970,28 +1928,6 @@ mod tests {
     }
 
     #[test]
-    fn update_rules_agree_on_optimum() {
-        let (m, bounds) = chain_model(12);
-        let mut objectives = Vec::new();
-        for update in [UpdateRule::ForrestTomlin, UpdateRule::ProductForm] {
-            let config = LpConfig {
-                update,
-                // Keep the update files alive across many pivots so the
-                // rules actually diverge in representation.
-                refactor_interval: 64,
-                ..LpConfig::default()
-            };
-            let (res, _) = solve(&m, &bounds, &config, None).expect("revised path");
-            assert_eq!(res.status, LpStatus::Optimal, "{update:?}");
-            objectives.push(res.objective);
-        }
-        assert!(
-            (objectives[0] - objectives[1]).abs() < 1e-9,
-            "{objectives:?}"
-        );
-    }
-
-    #[test]
     fn tight_refactor_interval_still_optimal() {
         // Force a refactorisation after every pivot: results must match.
         let m = two_var_model();
@@ -2024,63 +1960,54 @@ mod tests {
     /// The Forrest–Goldfarb recurrence maintains `γᵢ = ‖eᵢB⁻¹‖²`
     /// incrementally; after random pivot sequences (warm re-solves under
     /// random bound fixes) the maintained weights must still match a
-    /// from-scratch recompute — under both factorisation update rules,
-    /// since the recurrence consumes ρ and τ straight from the update
-    /// files. `init_dse_exact` *is* the from-scratch recompute (one unit
-    /// BTRAN per row), so the comparison pins the recurrence against it.
+    /// from-scratch recompute — the recurrence consumes ρ and τ straight
+    /// from the Forrest–Tomlin update file. `init_dse_exact` *is* the
+    /// from-scratch recompute (one unit BTRAN per row), so the comparison
+    /// pins the recurrence against it.
     #[test]
-    fn steepest_edge_weights_match_exact_recompute_under_both_update_rules() {
+    fn steepest_edge_weights_match_exact_recompute() {
         use rand::rngs::SmallRng;
         use rand::{Rng, SeedableRng};
-        for update in [UpdateRule::ForrestTomlin, UpdateRule::ProductForm] {
-            let mut checked = 0u64;
-            for seed in 0..8u64 {
-                let mut rng = SmallRng::seed_from_u64(seed);
-                let n = 10 + 2 * (seed as usize);
-                let model = ring_cover_model(n);
-                let config = LpConfig {
-                    pricing: PricingRule::SteepestEdge,
-                    update,
-                    ..LpConfig::default()
-                };
-                let mut bounds: Vec<(f64, f64)> = vec![(0.0, 1.0); n];
-                let mut ctx = LpContext::default();
-                let (root, mut basis) = ctx.solve(&model, &bounds, &config, None).expect("root");
-                assert_eq!(root.status, LpStatus::Optimal);
-                for _ in 0..2 * n {
-                    let j = rng.gen_range(0..n);
-                    let fix = f64::from(rng.gen_range(0..=1i32));
-                    let old = bounds[j];
-                    bounds[j] = (fix, fix);
-                    let out = ctx.solve(&model, &bounds, &config, basis.as_ref());
-                    match out {
-                        Ok((res, b)) if res.status == LpStatus::Optimal => {
-                            basis = b;
-                            let eng = ctx.engine.as_mut().expect("engine kept on optimal");
-                            if eng.pricing == PricingRule::SteepestEdge && eng.dse_ok {
-                                let maintained = eng.dse.clone();
-                                eng.init_dse_exact();
-                                for (i, (&got, &want)) in
-                                    maintained.iter().zip(&eng.dse).enumerate()
-                                {
-                                    assert!(
-                                        (got - want).abs()
-                                            <= 1e-6 * (1.0 + got.abs().max(want.abs())),
-                                        "{update:?} seed {seed} row {i}: \
-                                         maintained {got} vs exact {want}"
-                                    );
-                                    checked += 1;
-                                }
+        let mut checked = 0u64;
+        for seed in 0..8u64 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let n = 10 + 2 * (seed as usize);
+            let model = ring_cover_model(n);
+            let config = LpConfig {
+                pricing: PricingRule::SteepestEdge,
+                ..LpConfig::default()
+            };
+            let mut bounds: Vec<(f64, f64)> = vec![(0.0, 1.0); n];
+            let mut ctx = LpContext::default();
+            let (root, mut basis) = ctx.solve(&model, &bounds, &config, None).expect("root");
+            assert_eq!(root.status, LpStatus::Optimal);
+            for _ in 0..2 * n {
+                let j = rng.gen_range(0..n);
+                let fix = f64::from(rng.gen_range(0..=1i32));
+                let old = bounds[j];
+                bounds[j] = (fix, fix);
+                let out = ctx.solve(&model, &bounds, &config, basis.as_ref());
+                match out {
+                    Ok((res, b)) if res.status == LpStatus::Optimal => {
+                        basis = b;
+                        let eng = ctx.engine.as_mut().expect("engine kept on optimal");
+                        if eng.pricing == PricingRule::SteepestEdge && eng.dse_ok {
+                            let maintained = eng.dse.clone();
+                            eng.init_dse_exact();
+                            for (i, (&got, &want)) in maintained.iter().zip(&eng.dse).enumerate() {
+                                assert!(
+                                    (got - want).abs() <= 1e-6 * (1.0 + got.abs().max(want.abs())),
+                                    "seed {seed} row {i}: \
+                                     maintained {got} vs exact {want}"
+                                );
+                                checked += 1;
                             }
                         }
-                        _ => bounds[j] = old, // infeasible fix: undo and go on
                     }
+                    _ => bounds[j] = old, // infeasible fix: undo and go on
                 }
             }
-            assert!(
-                checked > 500,
-                "{update:?}: too few weights checked: {checked}"
-            );
         }
+        assert!(checked > 500, "too few weights checked: {checked}");
     }
 }

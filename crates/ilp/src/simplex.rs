@@ -1,46 +1,40 @@
-//! LP relaxations: sparse revised simplex fast path, dense fallback.
+//! LP relaxations: configuration and result types, and the dense
+//! two-phase tableau.
 //!
-//! The unified entry point to the engines is
-//! [`LpSession`](crate::LpSession) (see [`crate::backend`]); this module
-//! keeps the configuration types ([`LpConfig`], [`LpEngine`],
-//! [`PricingRule`]), the result types, the dense two-phase tableau
-//! implementation, and the deprecated pre-session shims
-//! ([`solve_relaxation_warm`], [`LpSolver`]) retained for one release as
-//! differential-test oracles.
+//! Every LP relaxation runs through an [`LpSession`](crate::LpSession)
+//! (see [`crate::backend`]), which drives one path:
 //!
-//! Two engines sit behind every session's fallback ladder:
-//!
-//! 1. **Sparse revised simplex** (the private `revised` module, the
-//!    default): the
+//! 1. **Sparse revised dual simplex** (the private `revised` module): the
 //!    constraint matrix lives once in CSC form on the [`Model`]
 //!    ([`Model::csc`]); the basis is held as a sparse LU factorisation
-//!    with product-form eta updates ([`crate::factor`]) — or, behind
-//!    [`LpEngine::DenseInverse`], as the explicit dense inverse of the
-//!    original engine — and columns are priced by sparse dot products.
+//!    with dynamic Markowitz ordering and Forrest–Tomlin updates
+//!    ([`crate::factor`]), and columns are priced by sparse dot products.
 //!    The dual simplex selects leaving rows by Devex reference-framework
-//!    pricing (Dantzig selectable, Bland guard on stalls) and runs a
-//!    bound-flipping dual ratio test. It always starts *dual feasible* —
-//!    from the all-slack basis on a cold start, or from a caller-supplied
+//!    pricing (dual steepest edge and Dantzig selectable through
+//!    [`PricingRule`], Bland guard on stalls) and runs a bound-flipping
+//!    dual ratio test. It always starts *dual feasible* — from the
+//!    all-slack basis on a cold start, or from a caller-supplied
 //!    [`Basis`] snapshot on a warm start — so phase 1 is never run.
 //!    Branch-and-bound exploits this heavily: a parent's optimal basis
 //!    stays dual feasible for its children (only bounds change), and each
 //!    child re-optimises in a few dual pivots.
 //!
-//! 2. **Dense two-phase primal simplex** (fallback, or forced via
-//!    [`LpEngine::DenseTableau`]): the original tableau implementation,
-//!    kept for the cases the revised engine declines — unbounded
-//!    directions, singular or dual-infeasible warm bases, and numerical
-//!    trouble. Dantzig pricing with a switch to Bland's rule on stalls,
-//!    artificials in phase 1, bound flips in the ratio test.
+//! 2. **Dense two-phase primal tableau** ([`solve_relaxation_dense`]),
+//!    the single fallback. It is the only path for a model with a column
+//!    that is unbounded on its cost-improving side, because the dual
+//!    simplex has no dual-feasible start there; it also catches singular
+//!    warm bases and numerical trouble. Dantzig pricing with a switch to
+//!    Bland's rule on stalls, artificials in phase 1, bound flips in the
+//!    ratio test. Tests use it as the LP reference.
 //!
-//! Both engines meter deterministic [`work_ticks`](LpResult::work_ticks)
+//! Both paths meter deterministic [`work_ticks`](LpResult::work_ticks)
 //! proportional to the floating-point work performed, so
 //! [`DeterministicClock`](crate::DeterministicClock) budgets remain
 //! reproducible no matter which path a solve takes.
 
 use crate::basis::Basis;
 use crate::expr::ConstraintSense;
-use crate::factor::{FactorStats, MarkowitzOrdering, UpdateRule};
+use crate::factor::FactorStats;
 use crate::model::Model;
 
 /// Numerical tolerance for feasibility and pricing decisions.
@@ -72,31 +66,13 @@ pub struct LpResult {
     pub iterations: u64,
     /// Deterministic work performed, in ticks.
     pub work_ticks: u64,
-    /// `true` when the dense two-phase tableau produced this result —
-    /// either because the revised engine declined the solve (the costly
-    /// fallback the degeneracy work targets) or because the caller forced
-    /// [`LpEngine::DenseTableau`].
+    /// `true` when the dense two-phase tableau produced this result
+    /// because the revised engine declined the solve.
     pub dense_fallback: bool,
     /// Factorisation counters behind this solve (FTRAN/BTRAN visited
     /// non-zeros, kernel selections, update-file growth). All zeros on
     /// dense-tableau and trivial solves.
     pub factor: FactorStats,
-}
-
-/// Which LP engine handles a solve.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LpEngine {
-    /// Revised simplex over a sparse LU factorisation with eta-file
-    /// updates ([`crate::factor::LuFactors`]) — the default.
-    #[default]
-    SparseLu,
-    /// Revised simplex over the explicit dense basis inverse
-    /// ([`crate::factor::DenseInverse`]) — the previous engine, kept as a
-    /// correctness oracle and numerical cross-check.
-    DenseInverse,
-    /// The dense two-phase primal tableau only (skips the revised engine
-    /// entirely) — the slowest, most battle-tested path.
-    DenseTableau,
 }
 
 /// Pricing rule for the dual simplex leaving-row selection.
@@ -134,25 +110,15 @@ pub struct LpConfig {
     /// varies wildly — the root cut loop caps each separation round's
     /// re-solve at a multiple of the root solve's ticks this way.
     pub work_limit: u64,
-    /// Engine selection (sparse LU, explicit inverse, or dense tableau).
-    pub engine: LpEngine,
     /// Dual pricing rule; a Bland-style anti-cycling guard overrides
-    /// either rule when the objective stalls.
+    /// any rule when the objective stalls.
     pub pricing: PricingRule,
-    /// Eta updates / hot basis reuses tolerated before a refactorisation
+    /// Pivot updates / hot basis reuses tolerated before a refactorisation
     /// (replaces the old hard-coded `REFACTOR_EVERY = 64`).
     pub refactor_interval: u32,
     /// Refactorise when the update file outgrows this multiple of the LU
     /// fill-in (see [`crate::factor::FactorOpts`]).
     pub eta_fill_factor: f64,
-    /// How pivots are folded into the sparse LU factorisation: in-place
-    /// Forrest–Tomlin updates (the default) or the product-form eta file
-    /// (kept as the differential-testing oracle).
-    pub update: UpdateRule,
-    /// How refactorisation picks pivots: live Markowitz counts on the
-    /// active submatrix (the default) or the legacy static column-count
-    /// preorder (kept as the differential-testing oracle).
-    pub ordering: MarkowitzOrdering,
     /// Enables the bound-flipping (long-step) dual ratio test.
     pub bound_flips: bool,
     /// Anti-degeneracy cost perturbation on *cold* revised-simplex starts:
@@ -173,12 +139,9 @@ impl Default for LpConfig {
         LpConfig {
             max_iterations: 200_000,
             work_limit: u64::MAX,
-            engine: LpEngine::SparseLu,
             pricing: PricingRule::Devex,
             refactor_interval: 96,
             eta_fill_factor: 3.0,
-            update: UpdateRule::default(),
-            ordering: MarkowitzOrdering::default(),
             bound_flips: true,
             perturb: true,
             perturb_seed: 0,
@@ -193,8 +156,6 @@ impl LpConfig {
         crate::factor::FactorOpts {
             refactor_interval: self.refactor_interval,
             eta_fill_factor: self.eta_fill_factor,
-            update: self.update,
-            ordering: self.ordering,
         }
     }
 }
@@ -480,8 +441,9 @@ impl Tableau {
     }
 }
 
-/// Result of [`solve_relaxation_warm`]: the LP outcome plus, on optimal
-/// solves, the basis snapshot to warm-start related solves from.
+/// Result of [`LpSession::solve`](crate::LpSession::solve): the LP
+/// outcome plus, on optimal solves, the basis snapshot to warm-start
+/// related solves from.
 #[derive(Debug, Clone)]
 pub struct WarmLpResult {
     /// The LP outcome.
@@ -491,105 +453,17 @@ pub struct WarmLpResult {
     pub basis: Option<Basis>,
 }
 
-/// Solves the LP relaxation of `model` with per-variable bound overrides.
+/// Dense two-phase primal tableau: solves the LP relaxation of `model`
+/// under per-variable `bounds` (one `(lower, upper)` pair per variable;
+/// integrality is ignored). The single fallback of every
+/// [`LpSession`](crate::LpSession) solve, and the LP reference the tests
+/// check sessions against.
 ///
-/// `bounds` must have one `(lower, upper)` pair per model variable; it is
-/// how branch-and-bound tightens and fixes binaries without rebuilding the
-/// model. Integrality is ignored — binaries are relaxed to their bounds.
-#[deprecated(
-    note = "open an `LpSession` instead; kept for one release as the differential-test oracle"
-)]
-#[must_use]
-pub fn solve_relaxation(model: &Model, bounds: &[(f64, f64)], config: &LpConfig) -> LpResult {
-    #[allow(deprecated)]
-    solve_relaxation_warm(model, bounds, config, None).result
-}
-
-/// Solves the LP relaxation, optionally warm-starting from a [`Basis`].
+/// # Panics
 ///
-/// Thin shim over a one-shot [`LpSession`](crate::LpSession); sessions
-/// additionally keep the engine hot across solves and accept incremental
-/// rows.
-#[deprecated(
-    note = "open an `LpSession` instead; kept for one release as the differential-test oracle"
-)]
+/// Panics if `bounds.len()` differs from the model's variable count.
 #[must_use]
-pub fn solve_relaxation_warm(
-    model: &Model,
-    bounds: &[(f64, f64)],
-    config: &LpConfig,
-    warm: Option<&Basis>,
-) -> WarmLpResult {
-    crate::backend::LpSession::open(model, *config).solve(bounds, warm)
-}
-
-/// A stateful LP solver handle that keeps the revised-simplex engine warm
-/// between solves — the pre-session API, now a thin shim over
-/// [`LpSession`](crate::LpSession).
-///
-/// The shim keeps one session alive and reopens it whenever the model's
-/// matrix identity or the engine selection changes, which reproduces the
-/// old context behaviour exactly (a context never matched across models
-/// either). Unlike a session it cannot accept incremental rows; migrate
-/// to [`LpSession`](crate::LpSession) for that.
-#[deprecated(
-    note = "open an `LpSession` instead; kept for one release as the differential-test oracle"
-)]
-#[derive(Default)]
-pub struct LpSolver {
-    session: Option<crate::backend::LpSession>,
-}
-
-#[allow(deprecated)]
-impl LpSolver {
-    /// Creates a solver with no live engine.
-    #[must_use]
-    pub fn new() -> Self {
-        LpSolver::default()
-    }
-
-    /// Solves one relaxation, warm-starting from `warm` when provided.
-    ///
-    /// Semantics are identical to [`solve_relaxation_warm`]; the only
-    /// difference is engine reuse across calls.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bounds.len() != model.num_vars()`.
-    #[must_use]
-    pub fn solve(
-        &mut self,
-        model: &Model,
-        bounds: &[(f64, f64)],
-        config: &LpConfig,
-        warm: Option<&Basis>,
-    ) -> WarmLpResult {
-        let matrix = model.csc();
-        let stale = match &self.session {
-            Some(s) => {
-                s.config().engine != config.engine
-                    || !std::sync::Arc::ptr_eq(&s.model().csc(), &matrix)
-            }
-            None => true,
-        };
-        if stale {
-            self.session = Some(crate::backend::LpSession::open(model, *config));
-        }
-        // lint: allow(panic-path) — the `stale` branch directly above stores Some; the Option is never None here by construction
-        let session = self.session.as_mut().expect("session opened above");
-        session.configure(*config);
-        session.solve(bounds, warm)
-    }
-}
-
-/// Dense two-phase primal fallback (the original engine). The terminal
-/// rung of every session's and shim's fallback ladder.
-#[must_use]
-pub(crate) fn solve_relaxation_dense(
-    model: &Model,
-    bounds: &[(f64, f64)],
-    config: &LpConfig,
-) -> LpResult {
+pub fn solve_relaxation_dense(model: &Model, bounds: &[(f64, f64)], config: &LpConfig) -> LpResult {
     let n = model.num_vars();
     assert_eq!(bounds.len(), n, "one bound pair per variable required");
     let m = model.num_constraints();
@@ -892,29 +766,28 @@ fn finish(model: &Model, tab: &Tableau, status: LpStatus) -> LpResult {
     }
 }
 
-/// Convenience: solve the relaxation with the model's own bounds.
-#[deprecated(
-    note = "open an `LpSession` instead; kept for one release as the differential-test oracle"
-)]
-#[must_use]
-pub fn solve_model_relaxation(model: &Model, config: &LpConfig) -> LpResult {
-    let bounds: Vec<(f64, f64)> = model
-        .variables()
-        .iter()
-        .map(|v| (v.lower, v.upper))
-        .collect();
-    #[allow(deprecated)]
-    solve_relaxation(model, &bounds, config)
-}
-
 #[cfg(test)]
-#[allow(deprecated)] // oracle tests for the deprecated shims
 mod tests {
     use super::*;
-    use crate::Model;
+    use crate::{LpSession, Model};
 
     fn cfg() -> LpConfig {
         LpConfig::default()
+    }
+
+    /// One-shot session solve under explicit bounds.
+    fn solve_bounded(model: &Model, bounds: &[(f64, f64)], config: &LpConfig) -> LpResult {
+        LpSession::open(model, *config).solve(bounds, None).result
+    }
+
+    /// One-shot session solve under the model's own bounds.
+    fn solve_own_bounds(model: &Model, config: &LpConfig) -> LpResult {
+        let bounds: Vec<(f64, f64)> = model
+            .variables()
+            .iter()
+            .map(|v| (v.lower, v.upper))
+            .collect();
+        solve_bounded(model, &bounds, config)
     }
 
     #[test]
@@ -927,7 +800,7 @@ mod tests {
         m.add_constraint("c1", m.expr([(x, 1.0), (y, 2.0)]).leq(4.0));
         m.add_constraint("c2", m.expr([(x, 3.0), (y, 1.0)]).leq(6.0));
         m.set_objective(m.expr([(x, -1.0), (y, -1.0)]));
-        let r = solve_model_relaxation(&m, &cfg());
+        let r = solve_own_bounds(&m, &cfg());
         assert_eq!(r.status, LpStatus::Optimal);
         assert!(
             (r.objective + 14.0 / 5.0).abs() < 1e-6,
@@ -946,7 +819,7 @@ mod tests {
         let y = m.add_continuous("y", 0.0, 2.0);
         m.add_constraint("eq", m.expr([(x, 1.0), (y, 1.0)]).eq(3.0));
         m.set_objective(m.expr([(x, 1.0), (y, 1.0)]));
-        let r = solve_model_relaxation(&m, &cfg());
+        let r = solve_own_bounds(&m, &cfg());
         assert_eq!(r.status, LpStatus::Optimal);
         assert!((r.objective - 3.0).abs() < 1e-6);
         assert!((r.values[0] + r.values[1] - 3.0).abs() < 1e-6);
@@ -958,7 +831,7 @@ mod tests {
         let x = m.add_continuous("x", 0.0, 1.0);
         m.add_constraint("c", m.expr([(x, 1.0)]).geq(2.0));
         m.set_objective(m.expr([(x, 1.0)]));
-        let r = solve_model_relaxation(&m, &cfg());
+        let r = solve_own_bounds(&m, &cfg());
         assert_eq!(r.status, LpStatus::Infeasible);
     }
 
@@ -969,7 +842,7 @@ mod tests {
         let y = m.add_continuous("y", 0.0, f64::INFINITY);
         m.add_constraint("c", m.expr([(x, 1.0), (y, -1.0)]).leq(1.0));
         m.set_objective(m.expr([(y, -1.0)]));
-        let r = solve_model_relaxation(&m, &cfg());
+        let r = solve_own_bounds(&m, &cfg());
         assert_eq!(r.status, LpStatus::Unbounded);
     }
 
@@ -981,7 +854,7 @@ mod tests {
         let y = m.add_continuous("y", 0.0, 1.0);
         m.add_constraint("c", m.expr([(x, 1.0), (y, 1.0)]).leq(1.5));
         m.set_objective(m.expr([(x, -1.0), (y, -2.0)]));
-        let r = solve_model_relaxation(&m, &cfg());
+        let r = solve_own_bounds(&m, &cfg());
         assert_eq!(r.status, LpStatus::Optimal);
         assert!((r.objective + 2.5).abs() < 1e-6, "obj {}", r.objective);
         assert!((r.values[1] - 1.0).abs() < 1e-6);
@@ -996,7 +869,7 @@ mod tests {
         m.add_constraint("c", m.expr([(x, 1.0), (y, 1.0)]).geq(1.0));
         m.set_objective(m.expr([(x, 1.0), (y, 3.0)]));
         // Fix x to 0: forced y = 1.
-        let r = solve_relaxation(&m, &[(0.0, 0.0), (0.0, 1.0)], &cfg());
+        let r = solve_bounded(&m, &[(0.0, 0.0), (0.0, 1.0)], &cfg());
         assert_eq!(r.status, LpStatus::Optimal);
         assert!((r.values[1] - 1.0).abs() < 1e-6);
         assert!((r.objective - 3.0).abs() < 1e-6);
@@ -1008,7 +881,7 @@ mod tests {
         let x = m.add_binary("x");
         m.set_objective(m.expr([(x, 1.0)]));
         m.add_constraint("c", m.expr([(x, 1.0)]).leq(1.0));
-        let r = solve_relaxation(&m, &[(1.0, 0.0)], &cfg());
+        let r = solve_bounded(&m, &[(1.0, 0.0)], &cfg());
         assert_eq!(r.status, LpStatus::Infeasible);
     }
 
@@ -1018,7 +891,7 @@ mod tests {
         let x = m.add_continuous("x", -1.0, 4.0);
         let y = m.add_continuous("y", 0.0, 2.0);
         m.set_objective(m.expr([(x, 1.0), (y, -1.0)]));
-        let r = solve_model_relaxation(&m, &cfg());
+        let r = solve_own_bounds(&m, &cfg());
         assert_eq!(r.status, LpStatus::Optimal);
         assert_eq!(r.values, vec![-1.0, 2.0]);
         assert_eq!(r.objective, -3.0);
@@ -1035,7 +908,7 @@ mod tests {
         m.add_constraint("c3", m.expr([(y, 1.0)]).leq(1.0));
         m.add_constraint("c4", m.expr([(x, 2.0), (y, 2.0)]).leq(2.0));
         m.set_objective(m.expr([(x, -1.0), (y, -1.0)]));
-        let r = solve_model_relaxation(&m, &cfg());
+        let r = solve_own_bounds(&m, &cfg());
         assert_eq!(r.status, LpStatus::Optimal);
         assert!((r.objective + 1.0).abs() < 1e-6);
     }
@@ -1049,7 +922,7 @@ mod tests {
         m.add_constraint("e1", m.expr([(x, 1.0), (y, 1.0)]).eq(2.0));
         m.add_constraint("e2", m.expr([(x, 1.0), (y, 1.0)]).eq(2.0));
         m.set_objective(m.expr([(x, 1.0)]));
-        let r = solve_model_relaxation(&m, &cfg());
+        let r = solve_own_bounds(&m, &cfg());
         assert_eq!(r.status, LpStatus::Optimal);
         assert!(r.objective.abs() < 1e-6);
         assert!((r.values[0] + r.values[1] - 2.0).abs() < 1e-6);
@@ -1066,7 +939,7 @@ mod tests {
         m.add_constraint("e2", m.expr([(b, 1.0), (c, 1.0)]).geq(1.0));
         m.add_constraint("e3", m.expr([(a, 1.0), (c, 1.0)]).geq(1.0));
         m.set_objective(m.expr([(a, 1.0), (b, 1.0), (c, 1.0)]));
-        let r = solve_model_relaxation(&m, &cfg());
+        let r = solve_own_bounds(&m, &cfg());
         assert_eq!(r.status, LpStatus::Optimal);
         assert!((r.objective - 1.5).abs() < 1e-6, "obj {}", r.objective);
     }
@@ -1078,7 +951,7 @@ mod tests {
         let x = m.add_continuous("x", 0.0, 5.0);
         m.add_constraint("c", m.expr([(x, -1.0)]).leq(-2.0));
         m.set_objective(m.expr([(x, 1.0)]));
-        let r = solve_model_relaxation(&m, &cfg());
+        let r = solve_own_bounds(&m, &cfg());
         assert_eq!(r.status, LpStatus::Optimal);
         assert!((r.values[0] - 2.0).abs() < 1e-6);
     }

@@ -20,7 +20,7 @@ use crate::factor::FactorStats;
 use crate::model::{Model, VarType};
 use crate::parallel::{self, Exchange, ParallelMode, ParallelStats};
 use crate::presolve::{presolve, PresolveConfig, PresolveOutcome, PresolveStats};
-use crate::simplex::{LpConfig, LpEngine, LpStatus, PricingRule, WarmLpResult};
+use crate::simplex::{LpConfig, LpStatus, PricingRule, WarmLpResult};
 use crate::solution::{IncumbentEvent, Solution};
 use crate::tol;
 use crate::trace::{Phase, PhaseBreakdown, ProgressRow, SpanKind, TraceBuf, TraceHandle};
@@ -160,19 +160,11 @@ impl SolverConfig {
         self
     }
 
-    /// Returns a copy with the given LP subsolver configuration (engine
-    /// selection, pricing rule, refactorisation policy, iteration cap).
+    /// Returns a copy with the given LP subsolver configuration (pricing
+    /// rule, refactorisation policy, iteration cap, work limit).
     #[must_use]
     pub fn with_lp(mut self, lp: LpConfig) -> Self {
         self.lp = lp;
-        self
-    }
-
-    /// Returns a copy with the given LP engine (sparse LU, explicit
-    /// dense inverse, or the dense tableau oracle).
-    #[must_use]
-    pub fn with_lp_engine(mut self, engine: LpEngine) -> Self {
-        self.lp.engine = engine;
         self
     }
 
@@ -188,14 +180,6 @@ impl SolverConfig {
     #[must_use]
     pub fn with_refactor_interval(mut self, interval: u32) -> Self {
         self.lp.refactor_interval = interval;
-        self
-    }
-
-    /// Returns a copy with the given basis-update rule (in-place
-    /// Forrest–Tomlin, the default, or the product-form eta file).
-    #[must_use]
-    pub fn with_update_rule(mut self, update: crate::factor::UpdateRule) -> Self {
-        self.lp.update = update;
         self
     }
 
@@ -787,19 +771,17 @@ impl<'a> Search<'a> {
         // Size against the session's view: cut rows count like any other.
         let m = self.session.model().num_constraints().max(1);
         let n_total = self.model.num_vars() + m;
-        // Size by the *most expensive* engine so none can overshoot the
-        // budget. Explicit-inverse revised pivots cost ≈ m² + nnz + n
-        // ticks; sparse-LU pivots are usually far cheaper, but in the
-        // dense-fill worst case their eta-file solves reach a small
+        // Size by the more expensive path so neither can overshoot the
+        // budget. Sparse-LU pivots are usually cheap, but in the
+        // dense-fill worst case their update-file solves reach a small
         // multiple of the LU fill (≤ m²) per pivot and the periodic
         // refactorisation amortises to ≤ m³/interval per pivot, so both
         // terms are budgeted explicitly. Dense-fallback pivots are
         // ≈ 2·m·n_cols (n_cols ≤ n + 2m with slacks + artificials).
         let interval = (self.cfg.lp.refactor_interval as usize).max(1);
         let lu_pivot = 12 * m * m + m * m * m / interval + self.nnz + n_total;
-        let revised_pivot = m * m + self.nnz + n_total;
         let dense_pivot = 2 * m * (n_total + m);
-        let worst = lu_pivot.max(revised_pivot).max(dense_pivot);
+        let worst = lu_pivot.max(dense_pivot);
         let per_pivot = DeterministicClock::ticks_to_seconds(worst as u64);
         let iters = (remaining / per_pivot.max(tol::ZERO)) as u64;
         LpConfig {

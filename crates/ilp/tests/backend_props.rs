@@ -1,20 +1,18 @@
-//! Backend-equivalence and cut-correctness properties.
+//! Session-equivalence and cut-correctness properties.
 //!
-//! * Every [`LpBackend`] implementation — dense tableau, dense inverse,
-//!   sparse LU under both update rules — must agree on the LP optimum of
-//!   seeded random 0/1 models **through the trait object** (the session
-//!   API), to 1e-6.
+//! * [`LpSession`] must agree with the dense two-phase tableau
+//!   ([`solve_relaxation_dense`], the LP reference) on the status and
+//!   optimum of seeded random 0/1 models, to 1e-6.
 //! * [`LpSession::add_rows`] must be exact: appending separated cuts to a
 //!   live session (in-place factorisation growth) must reach the same
-//!   optimum as cold-solving a rebuilt model that carries the same rows.
+//!   optimum as the tableau on a rebuilt model that carries the same rows.
 //! * Separated cuts must be *valid*: no knapsack cover or clique cut may
 //!   ever cut off an integer-feasible point (checked by exhaustive
 //!   enumeration) — and an integer-feasible LP optimum separates nothing.
 
-use croxmap_ilp::backend::{LpBackend, LpSession, RevisedBackend, TableauBackend};
 use croxmap_ilp::cuts::CutSeparator;
-use croxmap_ilp::simplex::{LpConfig, LpStatus};
-use croxmap_ilp::{LpEngine, Model, PricingRule, UpdateRule, VarId};
+use croxmap_ilp::simplex::{solve_relaxation_dense, LpConfig, LpStatus};
+use croxmap_ilp::{LpSession, Model, PricingRule, VarId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -115,43 +113,6 @@ fn model_bounds(m: &Model) -> Vec<(f64, f64)> {
     m.variables().iter().map(|v| (v.lower, v.upper)).collect()
 }
 
-/// Every backend × update-rule combination as `(label, session)`, all
-/// held as trait objects through [`LpSession::with_backend`].
-fn all_backends(model: &Model) -> Vec<(String, LpSession)> {
-    let mut out = Vec::new();
-    for update in [UpdateRule::ForrestTomlin, UpdateRule::ProductForm] {
-        let cfg = LpConfig {
-            engine: LpEngine::SparseLu,
-            update,
-            ..default_cfg()
-        };
-        let backend: Box<dyn LpBackend> = Box::new(RevisedBackend::new(LpEngine::SparseLu));
-        out.push((
-            format!("sparse-lu/{update:?}"),
-            LpSession::with_backend(model, cfg, backend),
-        ));
-    }
-    let cfg = LpConfig {
-        engine: LpEngine::DenseInverse,
-        ..default_cfg()
-    };
-    let backend: Box<dyn LpBackend> = Box::new(RevisedBackend::new(LpEngine::DenseInverse));
-    out.push((
-        "dense-inverse".to_owned(),
-        LpSession::with_backend(model, cfg, backend),
-    ));
-    let cfg = LpConfig {
-        engine: LpEngine::DenseTableau,
-        ..default_cfg()
-    };
-    let backend: Box<dyn LpBackend> = Box::new(TableauBackend);
-    out.push((
-        "dense-tableau".to_owned(),
-        LpSession::with_backend(model, cfg, backend),
-    ));
-    out
-}
-
 /// All integer-feasible points of a small binary model.
 fn feasible_points(m: &Model) -> Vec<Vec<f64>> {
     let n = m.num_vars();
@@ -167,32 +128,28 @@ fn feasible_points(m: &Model) -> Vec<Vec<f64>> {
 }
 
 #[test]
-fn all_backends_agree_on_relaxation_optimum() {
+fn session_matches_dense_tableau_on_relaxation_optimum() {
     let mut optimal = 0u32;
     let mut infeasible = 0u32;
     for seed in 0..40u64 {
         let model = random_model(seed);
         let bounds = model_bounds(&model);
-        let mut results = Vec::new();
-        for (label, mut session) in all_backends(&model) {
-            let out = session.solve(&bounds, None);
-            results.push((label, out.result.status, out.result.objective));
-        }
-        let (ref label0, status0, obj0) = results[0];
-        for (label, status, obj) in &results[1..] {
-            assert_eq!(
-                status0, *status,
-                "seed {seed}: {label0} vs {label} disagree on status"
-            );
-            if *status == LpStatus::Optimal {
+        let got = LpSession::open(&model, default_cfg()).solve(&bounds, None);
+        let want = solve_relaxation_dense(&model, &bounds, &default_cfg());
+        assert_eq!(
+            got.result.status, want.status,
+            "seed {seed}: session vs tableau disagree on status"
+        );
+        match want.status {
+            LpStatus::Optimal => {
                 assert!(
-                    (obj0 - obj).abs() < 1e-6,
-                    "seed {seed}: {label0} gives {obj0}, {label} gives {obj}"
+                    (got.result.objective - want.objective).abs() < 1e-6,
+                    "seed {seed}: session gives {}, tableau gives {}",
+                    got.result.objective,
+                    want.objective
                 );
+                optimal += 1;
             }
-        }
-        match status0 {
-            LpStatus::Optimal => optimal += 1,
             LpStatus::Infeasible => infeasible += 1,
             other => panic!("seed {seed}: unexpected status {other:?}"),
         }
@@ -202,7 +159,7 @@ fn all_backends_agree_on_relaxation_optimum() {
 }
 
 #[test]
-fn incremental_rows_match_rebuilt_model_on_every_backend() {
+fn incremental_rows_match_rebuilt_model() {
     let mut exercised = 0u32;
     for seed in 0..60u64 {
         let model = if seed % 2 == 0 {
@@ -211,9 +168,8 @@ fn incremental_rows_match_rebuilt_model_on_every_backend() {
             random_model(seed)
         };
         let bounds = model_bounds(&model);
-        // Reference fractional point + cuts from the default engine.
-        let mut probe = LpSession::open(&model, default_cfg());
-        let root = probe.solve(&bounds, None);
+        let mut session = LpSession::open(&model, default_cfg());
+        let root = session.solve(&bounds, None);
         if root.result.status != LpStatus::Optimal {
             continue;
         }
@@ -223,35 +179,27 @@ fn incremental_rows_match_rebuilt_model_on_every_backend() {
             continue;
         }
         exercised += 1;
-        // Oracle: rebuild the model with the cut rows baked in, solve
-        // cold on the dense tableau.
+        // Reference: rebuild the model with the cut rows baked in and
+        // solve it cold on the dense tableau.
         let mut rebuilt = model.clone();
         let rows: Vec<_> = cuts.into_iter().map(croxmap_ilp::Cut::into_row).collect();
         for (name, cmp) in &rows {
             rebuilt.add_constraint(name.clone(), cmp.clone());
         }
-        let tableau_cfg = LpConfig {
-            engine: LpEngine::DenseTableau,
-            ..default_cfg()
-        };
-        let want = LpSession::open(&rebuilt, tableau_cfg).solve(&bounds, None);
-        assert_eq!(want.result.status, LpStatus::Optimal, "cuts are valid");
-        // Every backend: solve, append the same rows to the live session,
-        // re-solve warm; the grown session must match the oracle.
-        for (label, mut session) in all_backends(&model) {
-            let out = session.solve(&bounds, None);
-            assert_eq!(out.result.status, LpStatus::Optimal, "{label}");
-            let grown = session.add_rows(rows.clone(), out.basis.as_ref());
-            assert_eq!(grown.added, rows.len(), "{label}");
-            let cut_out = session.solve(&bounds, grown.basis.as_ref());
-            assert_eq!(cut_out.result.status, LpStatus::Optimal, "{label}");
-            assert!(
-                (cut_out.result.objective - want.result.objective).abs() < 1e-6,
-                "seed {seed}: {label} grown session gives {}, oracle {}",
-                cut_out.result.objective,
-                want.result.objective
-            );
-        }
+        let want = solve_relaxation_dense(&rebuilt, &bounds, &default_cfg());
+        assert_eq!(want.status, LpStatus::Optimal, "cuts are valid");
+        // Append the same rows to the live session and re-solve warm; the
+        // grown session must match the reference.
+        let grown = session.add_rows(rows.clone(), root.basis.as_ref());
+        assert_eq!(grown.added, rows.len());
+        let cut_out = session.solve(&bounds, grown.basis.as_ref());
+        assert_eq!(cut_out.result.status, LpStatus::Optimal);
+        assert!(
+            (cut_out.result.objective - want.objective).abs() < 1e-6,
+            "seed {seed}: grown session gives {}, tableau {}",
+            cut_out.result.objective,
+            want.objective
+        );
     }
     assert!(exercised >= 5, "only {exercised} seeds produced cuts");
 }

@@ -1,25 +1,17 @@
 //! Property suite for the sparse LU basis factorisation
 //! ([`croxmap_ilp::factor`]): FTRAN/BTRAN must agree with the explicit
-//! dense-inverse oracle on seeded random bases (structural and slack
-//! columns mixed, with pivot updates layered on top), the Forrest–Tomlin
-//! and product-form update schemes must track each other and the oracle
-//! through long (including near-singular and highly degenerate) pivot
-//! sequences, the hyper-sparse and scanning solve kernels must agree
-//! exactly, singular and degenerate bases must be rejected by both
-//! representations, and the update-accumulation + forced-refactorisation
-//! cycle must be bit-for-bit deterministic across runs under either
-//! update rule.
+//! dense-inverse reference ([`DenseInverse`]) on seeded random bases
+//! (structural and slack columns mixed, with pivot updates layered on
+//! top), Forrest–Tomlin updates must track the reference through long
+//! (including near-singular and highly degenerate) pivot sequences, the
+//! hyper-sparse and scanning solve kernels must agree exactly, singular
+//! and degenerate bases must be rejected by both representations, and
+//! the update-accumulation + forced-refactorisation cycle must be
+//! bit-for-bit deterministic across runs.
 
-use croxmap_ilp::{CscMatrix, DenseInverse, FactorOpts, LuFactors, MarkowitzOrdering, UpdateRule};
+use croxmap_ilp::{CscMatrix, DenseInverse, FactorOpts, LuFactors};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-
-fn opts_for(rule: UpdateRule) -> FactorOpts {
-    FactorOpts {
-        update: rule,
-        ..FactorOpts::default()
-    }
-}
 
 /// A random sparse `m × n` structural matrix with small integer entries
 /// (2–4 non-zeros per column), the same texture the croxmap formulations
@@ -138,90 +130,88 @@ fn degenerate_bases_rejected() {
 }
 
 #[test]
-fn updates_track_dense_rank_one_across_pivots_under_both_rules() {
-    for rule in [UpdateRule::ProductForm, UpdateRule::ForrestTomlin] {
-        let opts = opts_for(rule);
-        for seed in 300..360u64 {
-            let mut rng = SmallRng::seed_from_u64(seed);
-            let m = rng.gen_range(4usize..=10);
-            let n = rng.gen_range(m..=2 * m);
-            let a = random_csc(&mut rng, m, n);
-            // Start from the all-slack identity basis and pivot structural
-            // columns in one at a time, keeping the LU (under `rule`) and
-            // the dense inverse (rank-one sweeps) in lockstep.
-            let mut basis: Vec<usize> = (n..n + m).collect();
-            let mut lu = LuFactors::identity(m);
-            let mut dense = DenseInverse::identity(m);
-            assert!(lu.factorize(&basis, &a, n));
-            assert!(dense.factorize(&basis, &a, n));
-            let mut pivots = 0u32;
-            for q in 0..n {
-                let r = rng.gen_range(0..m);
-                // Transformed column w = B⁻¹ a_q via the LU path.
-                let mut w = vec![0.0; m];
-                a.axpy_col(&mut w, 1.0, q);
-                let mut w_dense = w.clone();
-                lu.ftran(&mut w);
-                dense.ftran(&mut w_dense);
-                assert_close(&w, &w_dense, 1e-8, &format!("seed {seed} col {q} w"));
-                if w[r].abs() < 1e-6 || basis.contains(&q) {
-                    continue; // unusable pivot for this random row
-                }
-                basis[r] = q;
-                if !lu.update(r, &w, &opts) {
-                    // A Forrest–Tomlin update the representation cannot
-                    // absorb refactorises from the updated basis — the
-                    // engine's recovery path.
-                    assert!(lu.factorize(&basis, &a, n), "seed {seed}: recovery");
-                }
-                dense.update(r, &w_dense);
-                pivots += 1;
-                let rhs: Vec<f64> = (0..m)
-                    .map(|_| f64::from(rng.gen_range(-4i32..=4)))
-                    .collect();
-                let mut x1 = rhs.clone();
-                let mut x2 = rhs.clone();
-                lu.ftran(&mut x1);
-                dense.ftran(&mut x2);
-                assert_close(
-                    &x1,
-                    &x2,
-                    1e-6,
-                    &format!("{rule:?} seed {seed} ftran after pivot on {q}"),
-                );
-                let mut y1 = rhs.clone();
-                let mut y2 = rhs;
-                lu.btran(&mut y1);
-                dense.btran(&mut y2);
-                assert_close(
-                    &y1,
-                    &y2,
-                    1e-6,
-                    &format!("{rule:?} seed {seed} btran after pivot on {q}"),
-                );
+fn updates_track_dense_rank_one_across_pivots() {
+    let opts = FactorOpts::default();
+    for seed in 300..360u64 {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let m = rng.gen_range(4usize..=10);
+        let n = rng.gen_range(m..=2 * m);
+        let a = random_csc(&mut rng, m, n);
+        // Start from the all-slack identity basis and pivot structural
+        // columns in one at a time, keeping the LU (Forrest–Tomlin) and
+        // the dense inverse (rank-one sweeps) in lockstep.
+        let mut basis: Vec<usize> = (n..n + m).collect();
+        let mut lu = LuFactors::identity(m);
+        let mut dense = DenseInverse::identity(m);
+        assert!(lu.factorize(&basis, &a, n));
+        assert!(dense.factorize(&basis, &a, n));
+        let mut pivots = 0u32;
+        for q in 0..n {
+            let r = rng.gen_range(0..m);
+            // Transformed column w = B⁻¹ a_q via the LU path.
+            let mut w = vec![0.0; m];
+            a.axpy_col(&mut w, 1.0, q);
+            let mut w_dense = w.clone();
+            lu.ftran(&mut w);
+            dense.ftran(&mut w_dense);
+            assert_close(&w, &w_dense, 1e-8, &format!("seed {seed} col {q} w"));
+            if w[r].abs() < 1e-6 || basis.contains(&q) {
+                continue; // unusable pivot for this random row
             }
-            if pivots > 0 {
-                // A forced refactorisation of the updated basis must agree
-                // with the update-file representation it replaces.
-                let rhs: Vec<f64> = (0..m).map(|i| (i as f64) - 1.5).collect();
-                let mut before = rhs.clone();
-                lu.ftran(&mut before);
-                assert!(lu.factorize(&basis, &a, n), "seed {seed}: refactorise");
-                assert_eq!(lu.update_count(), 0);
-                let mut after = rhs;
-                lu.ftran(&mut after);
-                assert_close(&before, &after, 1e-6, &format!("seed {seed} refactor"));
+            basis[r] = q;
+            if !lu.update(r, &w, &opts) {
+                // A Forrest–Tomlin update the representation cannot
+                // absorb refactorises from the updated basis — the
+                // engine's recovery path.
+                assert!(lu.factorize(&basis, &a, n), "seed {seed}: recovery");
             }
+            dense.update(r, &w_dense);
+            pivots += 1;
+            let rhs: Vec<f64> = (0..m)
+                .map(|_| f64::from(rng.gen_range(-4i32..=4)))
+                .collect();
+            let mut x1 = rhs.clone();
+            let mut x2 = rhs.clone();
+            lu.ftran(&mut x1);
+            dense.ftran(&mut x2);
+            assert_close(
+                &x1,
+                &x2,
+                1e-6,
+                &format!("seed {seed} ftran after pivot on {q}"),
+            );
+            let mut y1 = rhs.clone();
+            let mut y2 = rhs;
+            lu.btran(&mut y1);
+            dense.btran(&mut y2);
+            assert_close(
+                &y1,
+                &y2,
+                1e-6,
+                &format!("seed {seed} btran after pivot on {q}"),
+            );
+        }
+        if pivots > 0 {
+            // A forced refactorisation of the updated basis must agree
+            // with the update-file representation it replaces.
+            let rhs: Vec<f64> = (0..m).map(|i| (i as f64) - 1.5).collect();
+            let mut before = rhs.clone();
+            lu.ftran(&mut before);
+            assert!(lu.factorize(&basis, &a, n), "seed {seed}: refactorise");
+            assert_eq!(lu.update_count(), 0);
+            let mut after = rhs;
+            lu.ftran(&mut after);
+            assert_close(&before, &after, 1e-6, &format!("seed {seed} refactor"));
         }
     }
 }
 
-/// Forrest–Tomlin, product-form and the dense oracle driven in lockstep
+/// Forrest–Tomlin updates and the dense reference driven in lockstep
 /// through long pivot sequences that revisit the same rows over and over
 /// (the highly degenerate pattern set-partitioning bases produce), on
 /// matrices spiked with near-singular columns.
 #[test]
-fn three_representations_agree_on_degenerate_and_near_singular_sequences() {
+fn forrest_tomlin_tracks_dense_on_degenerate_and_near_singular_sequences() {
     let mut total_pivots = 0u32;
     for seed in 500..540u64 {
         let mut rng = SmallRng::seed_from_u64(seed);
@@ -245,13 +235,10 @@ fn three_representations_agree_on_degenerate_and_near_singular_sequences() {
         let a = CscMatrix::from_columns(m, &cols);
         let mut basis: Vec<usize> = (n..n + m).collect();
         let mut ft = LuFactors::identity(m);
-        let mut pf = LuFactors::identity(m);
         let mut dense = DenseInverse::identity(m);
         assert!(ft.factorize(&basis, &a, n));
-        assert!(pf.factorize(&basis, &a, n));
         assert!(dense.factorize(&basis, &a, n));
-        let fopts = opts_for(UpdateRule::ForrestTomlin);
-        let popts = opts_for(UpdateRule::ProductForm);
+        let opts = FactorOpts::default();
         let mut pivots = 0u32;
         for step in 0..3 * m {
             // Degenerate churn: a small set of rows is pivoted repeatedly.
@@ -262,42 +249,31 @@ fn three_representations_agree_on_degenerate_and_near_singular_sequences() {
             }
             let mut w_ft = vec![0.0; m];
             a.axpy_col(&mut w_ft, 1.0, q);
-            let mut w_pf = w_ft.clone();
             let mut w_dense = w_ft.clone();
             ft.ftran(&mut w_ft);
-            pf.ftran(&mut w_pf);
             dense.ftran(&mut w_dense);
-            assert_close(&w_ft, &w_pf, 1e-5, &format!("seed {seed} step {step} w"));
+            assert_close(&w_ft, &w_dense, 1e-5, &format!("seed {seed} step {step} w"));
             if w_ft[r].abs() < 1e-5 {
                 continue;
             }
             basis[r] = q;
-            if !ft.update(r, &w_ft, &fopts) {
+            if !ft.update(r, &w_ft, &opts) {
                 assert!(ft.factorize(&basis, &a, n), "seed {seed}: ft recovery");
             }
-            assert!(pf.update(r, &w_pf, &popts));
             dense.update(r, &w_dense);
             pivots += 1;
             let rhs: Vec<f64> = (0..m)
                 .map(|_| f64::from(rng.gen_range(-4i32..=4)))
                 .collect();
             let mut x_ft = rhs.clone();
-            let mut x_pf = rhs.clone();
             let mut x_dense = rhs.clone();
             ft.ftran(&mut x_ft);
-            pf.ftran(&mut x_pf);
             dense.ftran(&mut x_dense);
             assert_close(
                 &x_ft,
                 &x_dense,
                 1e-5,
                 &format!("seed {seed} step {step} ft-vs-dense ftran"),
-            );
-            assert_close(
-                &x_pf,
-                &x_dense,
-                1e-5,
-                &format!("seed {seed} step {step} pf-vs-dense ftran"),
             );
             let mut y_ft = rhs.clone();
             let mut y_dense = rhs;
@@ -318,74 +294,72 @@ fn three_representations_agree_on_degenerate_and_near_singular_sequences() {
 
 /// The hyper-sparse (DFS reach) and scanning kernels execute the same
 /// scatter arithmetic in the same pivot order, so forcing either via the
-/// density cutover must not change a single result — across both update
-/// rules, sparse and dense right-hand sides, and refactorisations.
+/// density cutover must not change a single result — across pivot
+/// updates, sparse and dense right-hand sides, and refactorisations.
 #[test]
 fn hyper_sparse_and_scanning_kernels_agree_exactly() {
-    for rule in [UpdateRule::ProductForm, UpdateRule::ForrestTomlin] {
-        let opts = opts_for(rule);
-        for seed in 700..740u64 {
-            let mut rng = SmallRng::seed_from_u64(seed);
-            let m = rng.gen_range(6usize..=14);
-            let n = rng.gen_range(m..=2 * m);
-            let a = random_csc(&mut rng, m, n);
-            let mut basis: Vec<usize> = (n..n + m).collect();
-            let mut scan = LuFactors::identity(m);
-            let mut hyper = LuFactors::identity(m);
-            scan.set_hyper_density_cutoff(0.0); // always the scanning kernels
-            hyper.set_hyper_density_cutoff(1.0); // always the reach kernels
-            assert!(scan.factorize(&basis, &a, n));
-            assert!(hyper.factorize(&basis, &a, n));
-            for q in 0..n {
-                let r = rng.gen_range(0..m);
-                let mut w1 = vec![0.0; m];
-                a.axpy_col(&mut w1, 1.0, q);
-                let mut w2 = w1.clone();
-                scan.ftran(&mut w1);
-                hyper.ftran(&mut w2);
-                assert_eq!(w1, w2, "{rule:?} seed {seed} col {q}: pivot column");
-                if w1[r].abs() < 1e-6 || basis.contains(&q) {
-                    continue;
-                }
-                basis[r] = q;
-                let ok1 = scan.update(r, &w1, &opts);
-                let ok2 = hyper.update(r, &w2, &opts);
-                assert_eq!(ok1, ok2, "{rule:?} seed {seed}: update verdict");
-                if !ok1 {
-                    assert!(scan.factorize(&basis, &a, n));
-                    assert!(hyper.factorize(&basis, &a, n));
-                }
-                // Sparse probes (unit vectors: the hyper-sparse fast
-                // path) and a dense probe (forced through the reach
-                // kernel only on `hyper`).
-                for probe in 0..m.min(3) {
-                    let mut x1 = vec![0.0; m];
-                    let mut x2 = vec![0.0; m];
-                    x1[probe] = 1.0;
-                    x2[probe] = 1.0;
-                    scan.ftran(&mut x1);
-                    hyper.ftran(&mut x2);
-                    assert_eq!(x1, x2, "{rule:?} seed {seed} q {q}: unit ftran {probe}");
-                    let mut y1 = vec![0.0; m];
-                    let mut y2 = vec![0.0; m];
-                    y1[probe] = 1.0;
-                    y2[probe] = 1.0;
-                    scan.btran(&mut y1);
-                    hyper.btran(&mut y2);
-                    assert_eq!(y1, y2, "{rule:?} seed {seed} q {q}: unit btran {probe}");
-                }
-                let dense_rhs: Vec<f64> = (0..m).map(|i| 1.0 + (i % 5) as f64).collect();
-                let mut x1 = dense_rhs.clone();
-                let mut x2 = dense_rhs.clone();
+    let opts = FactorOpts::default();
+    for seed in 700..740u64 {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let m = rng.gen_range(6usize..=14);
+        let n = rng.gen_range(m..=2 * m);
+        let a = random_csc(&mut rng, m, n);
+        let mut basis: Vec<usize> = (n..n + m).collect();
+        let mut scan = LuFactors::identity(m);
+        let mut hyper = LuFactors::identity(m);
+        scan.set_hyper_density_cutoff(0.0); // always the scanning kernels
+        hyper.set_hyper_density_cutoff(1.0); // always the reach kernels
+        assert!(scan.factorize(&basis, &a, n));
+        assert!(hyper.factorize(&basis, &a, n));
+        for q in 0..n {
+            let r = rng.gen_range(0..m);
+            let mut w1 = vec![0.0; m];
+            a.axpy_col(&mut w1, 1.0, q);
+            let mut w2 = w1.clone();
+            scan.ftran(&mut w1);
+            hyper.ftran(&mut w2);
+            assert_eq!(w1, w2, "seed {seed} col {q}: pivot column");
+            if w1[r].abs() < 1e-6 || basis.contains(&q) {
+                continue;
+            }
+            basis[r] = q;
+            let ok1 = scan.update(r, &w1, &opts);
+            let ok2 = hyper.update(r, &w2, &opts);
+            assert_eq!(ok1, ok2, "seed {seed}: update verdict");
+            if !ok1 {
+                assert!(scan.factorize(&basis, &a, n));
+                assert!(hyper.factorize(&basis, &a, n));
+            }
+            // Sparse probes (unit vectors: the hyper-sparse fast
+            // path) and a dense probe (forced through the reach
+            // kernel only on `hyper`).
+            for probe in 0..m.min(3) {
+                let mut x1 = vec![0.0; m];
+                let mut x2 = vec![0.0; m];
+                x1[probe] = 1.0;
+                x2[probe] = 1.0;
                 scan.ftran(&mut x1);
                 hyper.ftran(&mut x2);
-                assert_eq!(x1, x2, "{rule:?} seed {seed} q {q}: dense ftran");
-                let mut y1 = dense_rhs.clone();
-                let mut y2 = dense_rhs;
+                assert_eq!(x1, x2, "seed {seed} q {q}: unit ftran {probe}");
+                let mut y1 = vec![0.0; m];
+                let mut y2 = vec![0.0; m];
+                y1[probe] = 1.0;
+                y2[probe] = 1.0;
                 scan.btran(&mut y1);
                 hyper.btran(&mut y2);
-                assert_eq!(y1, y2, "{rule:?} seed {seed} q {q}: dense btran");
+                assert_eq!(y1, y2, "seed {seed} q {q}: unit btran {probe}");
             }
+            let dense_rhs: Vec<f64> = (0..m).map(|i| 1.0 + (i % 5) as f64).collect();
+            let mut x1 = dense_rhs.clone();
+            let mut x2 = dense_rhs.clone();
+            scan.ftran(&mut x1);
+            hyper.ftran(&mut x2);
+            assert_eq!(x1, x2, "seed {seed} q {q}: dense ftran");
+            let mut y1 = dense_rhs.clone();
+            let mut y2 = dense_rhs;
+            scan.btran(&mut y1);
+            hyper.btran(&mut y2);
+            assert_eq!(y1, y2, "seed {seed} q {q}: dense btran");
         }
     }
 }
@@ -400,176 +374,102 @@ fn hyper_sparse_and_scanning_kernels_agree_exactly() {
 /// iteration) must again match the oracle exactly.
 #[test]
 fn tracked_kernels_match_scan_kernels_and_chain_patterns() {
-    for rule in [UpdateRule::ProductForm, UpdateRule::ForrestTomlin] {
-        let opts = opts_for(rule);
-        let mut tracked_solves = 0u32;
-        for seed in 800..840u64 {
-            let mut rng = SmallRng::seed_from_u64(seed);
-            let m = rng.gen_range(6usize..=14);
-            let n = rng.gen_range(m..=2 * m);
-            let a = random_csc(&mut rng, m, n);
-            let mut basis: Vec<usize> = (n..n + m).collect();
-            let mut scan = LuFactors::identity(m);
-            let mut track = LuFactors::identity(m);
-            scan.set_hyper_density_cutoff(0.0); // always the scanning kernels
-            track.set_hyper_density_cutoff(1.0); // always the reach kernels
-            assert!(scan.factorize(&basis, &a, n));
-            assert!(track.factorize(&basis, &a, n));
-            let mut result_pat = Vec::new();
-            let mut next_pat = Vec::new();
-            for q in 0..n {
-                let r = rng.gen_range(0..m);
-                // FTRAN of the raw column, tracked vs oracle.
-                let mut x1 = vec![0.0; m];
-                a.axpy_col(&mut x1, 1.0, q);
-                let mut x2 = x1.clone();
-                let (rows, _) = a.col(q);
-                let hit = track.ftran_sparse_tracked(&mut x1, rows, &mut result_pat);
-                scan.ftran(&mut x2);
-                assert_eq!(x1, x2, "{rule:?} seed {seed} col {q}: tracked ftran");
-                if hit {
-                    tracked_solves += 1;
+    let opts = FactorOpts::default();
+    let mut tracked_solves = 0u32;
+    for seed in 800..840u64 {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let m = rng.gen_range(6usize..=14);
+        let n = rng.gen_range(m..=2 * m);
+        let a = random_csc(&mut rng, m, n);
+        let mut basis: Vec<usize> = (n..n + m).collect();
+        let mut scan = LuFactors::identity(m);
+        let mut track = LuFactors::identity(m);
+        scan.set_hyper_density_cutoff(0.0); // always the scanning kernels
+        track.set_hyper_density_cutoff(1.0); // always the reach kernels
+        assert!(scan.factorize(&basis, &a, n));
+        assert!(track.factorize(&basis, &a, n));
+        let mut result_pat = Vec::new();
+        let mut next_pat = Vec::new();
+        for q in 0..n {
+            let r = rng.gen_range(0..m);
+            // FTRAN of the raw column, tracked vs oracle.
+            let mut x1 = vec![0.0; m];
+            a.axpy_col(&mut x1, 1.0, q);
+            let mut x2 = x1.clone();
+            let (rows, _) = a.col(q);
+            let hit = track.ftran_sparse_tracked(&mut x1, rows, &mut result_pat);
+            scan.ftran(&mut x2);
+            assert_eq!(x1, x2, "seed {seed} col {q}: tracked ftran");
+            if hit {
+                tracked_solves += 1;
+                assert!(
+                    result_pat.windows(2).all(|w| w[0] < w[1]),
+                    "seed {seed} col {q}: pattern not sorted/deduped"
+                );
+                for (i, &v) in x1.iter().enumerate() {
                     assert!(
-                        result_pat.windows(2).all(|w| w[0] < w[1]),
-                        "{rule:?} seed {seed} col {q}: pattern not sorted/deduped"
+                        v == 0.0 || result_pat.contains(&i),
+                        "seed {seed} col {q}: non-zero {i} outside pattern"
                     );
-                    for (i, &v) in x1.iter().enumerate() {
-                        assert!(
-                            v == 0.0 || result_pat.contains(&i),
-                            "{rule:?} seed {seed} col {q}: non-zero {i} outside pattern"
-                        );
-                    }
-                    // Thread the captured pattern into a dependent solve,
-                    // exactly like the engine seeding its next FTRAN.
-                    let mut y1 = x1.clone();
-                    let mut y2 = x1.clone();
-                    let rehit = track.ftran_sparse_tracked(&mut y1, &result_pat, &mut next_pat);
-                    scan.ftran(&mut y2);
-                    assert_eq!(y1, y2, "{rule:?} seed {seed} col {q}: chained ftran");
-                    if rehit {
-                        tracked_solves += 1;
-                    }
                 }
-                // Unit BTRAN, tracked vs oracle.
-                let mut u1 = vec![0.0; m];
-                let mut u2 = vec![0.0; m];
-                u2[r] = 1.0;
-                let bhit = track.btran_unit_tracked(r, &mut u1, &mut result_pat);
-                scan.btran(&mut u2);
-                assert_eq!(u1, u2, "{rule:?} seed {seed} row {r}: tracked btran");
-                if bhit {
+                // Thread the captured pattern into a dependent solve,
+                // exactly like the engine seeding its next FTRAN.
+                let mut y1 = x1.clone();
+                let mut y2 = x1.clone();
+                let rehit = track.ftran_sparse_tracked(&mut y1, &result_pat, &mut next_pat);
+                scan.ftran(&mut y2);
+                assert_eq!(y1, y2, "seed {seed} col {q}: chained ftran");
+                if rehit {
                     tracked_solves += 1;
-                    assert!(
-                        result_pat.windows(2).all(|w| w[0] < w[1]),
-                        "{rule:?} seed {seed} row {r}: btran pattern not sorted/deduped"
-                    );
-                    for (i, &v) in u1.iter().enumerate() {
-                        assert!(
-                            v == 0.0 || result_pat.contains(&i),
-                            "{rule:?} seed {seed} row {r}: non-zero {i} outside btran pattern"
-                        );
-                    }
-                }
-                // Layer a pivot update so the kernels run over a growing
-                // eta/transform file, where the duplicate-pattern hazard
-                // actually lives.
-                if x1[r].abs() < 1e-6 || basis.contains(&q) {
-                    continue;
-                }
-                basis[r] = q;
-                let ok1 = scan.update(r, &x2, &opts);
-                let ok2 = track.update(r, &x1, &opts);
-                assert_eq!(ok1, ok2, "{rule:?} seed {seed}: update verdict");
-                if !ok1 {
-                    assert!(scan.factorize(&basis, &a, n));
-                    assert!(track.factorize(&basis, &a, n));
                 }
             }
-        }
-        assert!(
-            tracked_solves > 400,
-            "{rule:?}: too few tracked solves: {tracked_solves}"
-        );
-    }
-}
-
-/// Runs one pivot/refactorisation cycle under `ordering` (refactorising
-/// every third update, so the ordering actually decides pivots) and
-/// returns every intermediate FTRAN image of a fixed probe vector.
-fn ordering_trace(seed: u64, ordering: MarkowitzOrdering) -> Vec<Vec<f64>> {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let m = 10;
-    let n = 16;
-    let a = random_csc(&mut rng, m, n);
-    let mut basis: Vec<usize> = (n..n + m).collect();
-    let opts = FactorOpts {
-        refactor_interval: 3,
-        ordering,
-        ..FactorOpts::default()
-    };
-    let mut lu = LuFactors::identity(m);
-    lu.set_ordering(ordering);
-    assert!(lu.factorize(&basis, &a, n));
-    let probe: Vec<f64> = (0..m).map(|i| 1.0 + i as f64).collect();
-    let mut trace = Vec::new();
-    for q in 0..n {
-        let r = rng.gen_range(0..m);
-        let mut w = vec![0.0; m];
-        a.axpy_col(&mut w, 1.0, q);
-        lu.ftran(&mut w);
-        if w[r].abs() < 1e-6 || basis.contains(&q) {
-            continue;
-        }
-        basis[r] = q;
-        if !lu.update(r, &w, &opts) || lu.needs_refactor(&opts) {
-            assert!(lu.factorize(&basis, &a, n));
-        }
-        let mut beta = probe.clone();
-        lu.ftran(&mut beta);
-        trace.push(beta);
-    }
-    assert!(trace.len() >= 4, "seed {seed}: trace too short");
-    trace
-}
-
-#[test]
-fn markowitz_orderings_bit_deterministic_and_numerically_agree() {
-    for seed in [11u64, 77, 4242] {
-        // Each ordering must be bit-for-bit reproducible at a fixed seed —
-        // the dynamic ordering's tie-breaks are deterministic, not
-        // hash-order accidents.
-        for ordering in [
-            MarkowitzOrdering::Dynamic,
-            MarkowitzOrdering::StaticColCount,
-        ] {
-            let t1 = ordering_trace(seed, ordering);
-            let t2 = ordering_trace(seed, ordering);
-            assert_eq!(t1.len(), t2.len());
-            for (step, (b1, b2)) in t1.iter().zip(&t2).enumerate() {
-                for (i, (x, y)) in b1.iter().zip(b2).enumerate() {
-                    assert_eq!(
-                        x.to_bits(),
-                        y.to_bits(),
-                        "{ordering:?} seed {seed} step {step} entry {i}: {x} vs {y}"
+            // Unit BTRAN, tracked vs oracle.
+            let mut u1 = vec![0.0; m];
+            let mut u2 = vec![0.0; m];
+            u2[r] = 1.0;
+            let bhit = track.btran_unit_tracked(r, &mut u1, &mut result_pat);
+            scan.btran(&mut u2);
+            assert_eq!(u1, u2, "seed {seed} row {r}: tracked btran");
+            if bhit {
+                tracked_solves += 1;
+                assert!(
+                    result_pat.windows(2).all(|w| w[0] < w[1]),
+                    "seed {seed} row {r}: btran pattern not sorted/deduped"
+                );
+                for (i, &v) in u1.iter().enumerate() {
+                    assert!(
+                        v == 0.0 || result_pat.contains(&i),
+                        "seed {seed} row {r}: non-zero {i} outside btran pattern"
                     );
                 }
             }
-        }
-        // And across orderings the *results* must agree numerically: the
-        // pivot sequences differ, the factorised operator does not.
-        let dynamic = ordering_trace(seed, MarkowitzOrdering::Dynamic);
-        let fixed = ordering_trace(seed, MarkowitzOrdering::StaticColCount);
-        assert_eq!(dynamic.len(), fixed.len());
-        for (step, (b1, b2)) in dynamic.iter().zip(&fixed).enumerate() {
-            assert_close(b1, b2, 1e-8, &format!("seed {seed} step {step} orderings"));
+            // Layer a pivot update so the kernels run over a growing
+            // eta/transform file, where the duplicate-pattern hazard
+            // actually lives.
+            if x1[r].abs() < 1e-6 || basis.contains(&q) {
+                continue;
+            }
+            basis[r] = q;
+            let ok1 = scan.update(r, &x2, &opts);
+            let ok2 = track.update(r, &x1, &opts);
+            assert_eq!(ok1, ok2, "seed {seed}: update verdict");
+            if !ok1 {
+                assert!(scan.factorize(&basis, &a, n));
+                assert!(track.factorize(&basis, &a, n));
+            }
         }
     }
+    assert!(
+        tracked_solves > 400,
+        "too few tracked solves: {tracked_solves}"
+    );
 }
 
-/// Runs one update-accumulation + forced-refactorisation cycle under
-/// `rule` and returns every intermediate FTRAN image of a fixed probe
-/// vector.
-fn update_refactor_trace(seed: u64, rule: UpdateRule) -> Vec<Vec<f64>> {
+/// Runs one update-accumulation + forced-refactorisation cycle
+/// (refactorising every third update, so the dynamic Markowitz ordering
+/// decides pivots throughout) and returns every intermediate FTRAN image
+/// of a fixed probe vector.
+fn update_refactor_trace(seed: u64) -> Vec<Vec<f64>> {
     let mut rng = SmallRng::seed_from_u64(seed);
     let m = 8;
     let n = 12;
@@ -582,8 +482,6 @@ fn update_refactor_trace(seed: u64, rule: UpdateRule) -> Vec<Vec<f64>> {
     let opts = FactorOpts {
         refactor_interval: 3,
         eta_fill_factor: 8.0,
-        update: rule,
-        ..FactorOpts::default()
     };
     for q in 0..n {
         let r = rng.gen_range(0..m);
@@ -609,21 +507,20 @@ fn update_refactor_trace(seed: u64, rule: UpdateRule) -> Vec<Vec<f64>> {
 fn update_accumulation_with_forced_refactorisation_is_bit_deterministic() {
     // The deterministic clock meters this machinery, so two identical
     // runs must produce bit-identical β vectors — not merely close ones —
-    // through every pivot update and every forced refactorisation, under
-    // either update rule.
-    for rule in [UpdateRule::ProductForm, UpdateRule::ForrestTomlin] {
-        for seed in [7u64, 42, 1234] {
-            let t1 = update_refactor_trace(seed, rule);
-            let t2 = update_refactor_trace(seed, rule);
-            assert_eq!(t1.len(), t2.len());
-            for (step, (b1, b2)) in t1.iter().zip(&t2).enumerate() {
-                for (i, (x, y)) in b1.iter().zip(b2).enumerate() {
-                    assert_eq!(
-                        x.to_bits(),
-                        y.to_bits(),
-                        "{rule:?} seed {seed} step {step} entry {i}: {x} vs {y}"
-                    );
-                }
+    // through every pivot update and every forced refactorisation (the
+    // dynamic ordering's tie-breaks are deterministic, not hash-order
+    // accidents).
+    for seed in [7u64, 42, 1234] {
+        let t1 = update_refactor_trace(seed);
+        let t2 = update_refactor_trace(seed);
+        assert_eq!(t1.len(), t2.len());
+        for (step, (b1, b2)) in t1.iter().zip(&t2).enumerate() {
+            for (i, (x, y)) in b1.iter().zip(b2).enumerate() {
+                assert_eq!(
+                    x.to_bits(),
+                    y.to_bits(),
+                    "seed {seed} step {step} entry {i}: {x} vs {y}"
+                );
             }
         }
     }
