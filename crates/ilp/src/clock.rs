@@ -28,7 +28,7 @@ pub struct DeterministicClock {
 /// Ticks per deterministic second — the exchange rate between the
 /// [`work_ticks`](crate::simplex::LpResult::work_ticks) metered by the LP
 /// engines (one tick ≈ one floating-point multiply-add: a factorisation
-/// elimination step, a solve entry touched, an eta application, a pricing
+/// elimination step, a solve entry touched, a row-transform term, a pricing
 /// dot-product term) and the deterministic seconds reported by this
 /// clock. Public so harnesses (benches, budget maths) convert without
 /// hard-coding `1e9`.
@@ -79,11 +79,14 @@ impl DeterministicClock {
         ticks as f64 / TICKS_PER_SECOND as f64
     }
 
-    /// Converts a deterministic-second budget to ticks (saturating at
-    /// zero for negative inputs).
+    /// Converts a deterministic-second budget to ticks, rounding to the
+    /// nearest tick (saturating at zero for negative inputs). Rounding,
+    /// not truncation, makes it the exact inverse of
+    /// [`ticks_to_seconds`](Self::ticks_to_seconds): a truncating
+    /// conversion loses a tick whenever `t / 1e9` rounds down.
     #[must_use]
     pub fn seconds_to_ticks(seconds: f64) -> u64 {
-        (seconds.max(0.0) * TICKS_PER_SECOND as f64) as u64
+        (seconds.max(0.0) * TICKS_PER_SECOND as f64).round() as u64
     }
 }
 
@@ -118,6 +121,18 @@ mod tests {
         assert_eq!(DeterministicClock::ticks_to_seconds(TICKS_PER_SECOND), 1.0);
         assert_eq!(DeterministicClock::seconds_to_ticks(2.5), 2_500_000_000);
         assert_eq!(DeterministicClock::seconds_to_ticks(-1.0), 0);
+        // Every tick count survives the trip through seconds, including
+        // the ones whose quotient `t / 1e9` rounds down (46,309 of the
+        // 200,000 counts from 2.5e8 did under truncation).
+        let ranges = [
+            0..10_000u64,
+            250_000_000..250_200_000,
+            1_000_000_000_000..1_000_000_010_000,
+        ];
+        for t in ranges.into_iter().flatten() {
+            let secs = DeterministicClock::ticks_to_seconds(t);
+            assert_eq!(DeterministicClock::seconds_to_ticks(secs), t, "{t} ticks");
+        }
     }
 
     #[test]
