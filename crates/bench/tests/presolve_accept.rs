@@ -152,14 +152,17 @@ fn presolve_shrinks_set_partition_and_kills_the_dense_fallback() {
 #[test]
 fn perturbation_cuts_unperturbed_cold_work() {
     // The perturbation alone (no presolve involved) must beat the
-    // unperturbed cold solve on the degenerate family; measured ~3.6x on
-    // the root model under the product-form eta file (PR 3). The
-    // Forrest–Tomlin + hyper-sparse engine (PR 4) shrinks the *relative*
-    // win to ~2x because the unperturbed degenerate pivot storm no
-    // longer pays a linearly growing eta file — both absolute costs
-    // dropped, the unperturbed one by 2.3x — so the floor here is 1.5x:
-    // the perturbation must keep paying for itself, not hit a fixed
-    // ratio that penalises making the baseline faster.
+    // unperturbed cold solve on the degenerate family. Measured history
+    // (perturbed vs unperturbed ticks): 3,847,015 vs 13,752,061 (3.57x)
+    // under the product-form eta file; 3,035,322 vs 5,935,978 (1.96x)
+    // under Forrest–Tomlin updates with hyper-sparse solves; 704,252 vs
+    // 2,060,274 (2.93x) under dynamic Markowitz ordering; 704,252 vs
+    // 965,032 (1.37x) since the ratio test orders −0.0 before +0.0
+    // ratios (`total_cmp`), a tie-break only the unperturbed degenerate
+    // pivot storm hits. Each step made the baseline cheaper, never the
+    // perturbed solve dearer, so the floor is 1.25x: the perturbation
+    // must keep paying for itself, not hit a fixed ratio that penalises
+    // making the baseline faster.
     let model = set_partition(16);
     let perturbed = cold_root_lp(&model, &LpConfig::default());
     let plain = cold_root_lp(
@@ -187,8 +190,8 @@ fn perturbation_cuts_unperturbed_cold_work() {
     );
     assert!(!perturbed.dense_fallback);
     assert!(
-        perturbed.work_ticks * 3 <= plain.work_ticks * 2,
-        "perturbed cold solve must be ≥1.5x cheaper: {} vs {}",
+        perturbed.work_ticks * 5 <= plain.work_ticks * 4,
+        "perturbed cold solve must be ≥1.25x cheaper: {} vs {}",
         perturbed.work_ticks,
         plain.work_ticks
     );

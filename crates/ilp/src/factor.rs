@@ -38,10 +38,13 @@
 //! * **Solves** are **hyper-sparse**: when the right-hand side is sparse
 //!   enough (see the density cutover below), the solver first computes
 //!   the *reach* of the RHS pattern — a DFS over the triangular factor's
-//!   dependency graph, visited in topological (pivot) order — and then
-//!   runs the scatter-form solve over exactly those columns, so work is
+//!   dependency graph — puts it into pivot order, and then runs the
+//!   scatter-form solve over exactly those columns, so work is
 //!   proportional to the non-zeros actually touched rather than to `m`.
-//!   Dense right-hand sides cut over to the scanning kernels, which sweep
+//!   The DFS marks exactly the reach, so a small reach is ordered by a
+//!   sort and a large one by one sweep over the marks in pivot order,
+//!   whichever is cheaper for its size; both give the same order. Dense
+//!   right-hand sides cut over to the scanning kernels, which sweep
 //!   every elimination step and skip zero multipliers. Both kernels
 //!   execute bit-identical arithmetic (same scatter operations in the
 //!   same pivot order), so results do not depend on which kernel a
@@ -55,9 +58,10 @@
 //!
 //! Callers that know a solve's right-hand-side pattern ahead of time use
 //! the `*_sparse` entry points; the `*_tracked` variants additionally
-//! return the **result** pattern discovered by the DFS reach, so
-//! consecutive solves can thread patterns (FTRAN result → update → next
-//! FTRAN seed) without ever scanning a dense vector.
+//! return the **result** pattern discovered by the DFS reach (ascending,
+//! by the same sweep-or-sort choice), so consecutive solves can thread
+//! patterns (FTRAN result → update → next FTRAN seed) without ever
+//! scanning a dense vector.
 //!
 //! [`DenseInverse`], the explicit dense `m × m` basis inverse, is the
 //! reference the property tests check LU solves and updates against; no
@@ -80,6 +84,47 @@ const HYPER_DENSITY_CUTOFF: f64 = 0.125;
 /// pivot columns are examined (in ascending active count) before the
 /// best Markowitz merit seen so far is accepted.
 const MARKOWITZ_CANDIDATES: usize = 4;
+
+/// Whether one sweep over all `n` slots (or columns) puts a marked set
+/// of `r` of them into order faster than a comparison sort: the sort
+/// costs about `r·log₂ r` comparisons of `comparison_cost` sweep steps
+/// each, the sweep one mark test per slot. Both give the same order, so
+/// the choice moves wall time only — never a result or a tick.
+pub(crate) fn sweep_beats_sort(r: usize, n: usize, comparison_cost: f64) -> bool {
+    let comparisons = r * (usize::BITS - r.leading_zeros()) as usize;
+    comparison_cost * comparisons as f64 >= n as f64
+}
+
+// Comparison costs in sweep steps, fitted to the break-even reach sizes
+// measured on the area and SNU/PGO flows of `perfbench` (2-vCPU x86-64).
+/// Sorting slots by value against a sweep over the slots (the `L` and
+/// `Lᵀ` reaches): break-even at `r·log₂ r ≈ n`.
+const SLOT_COMPARISON: f64 = 1.0;
+/// Sorting slots by pivotal position, a key lookup per operand, against
+/// a sweep over `order` (the `U` and `Uᵀ` reaches): break-even at
+/// `r·log₂ r ≈ n/3`.
+const POSITION_COMPARISON: f64 = 3.0;
+/// Sorting a result pattern against a sweep through an inverse
+/// permutation (tracked results), or a column pattern against a sweep
+/// over every column (sparse PRICE): break-even at `r·log₂ r ≈ 2n`.
+pub(crate) const PATTERN_COMPARISON: f64 = 0.5;
+
+/// Empties every list of `lists` and sizes it to `len` lists, keeping the
+/// allocations of the lists that stay.
+fn clear_lists<T>(lists: &mut Vec<Vec<T>>, len: usize) {
+    lists.truncate(len);
+    for list in lists.iter_mut() {
+        list.clear();
+    }
+    lists.resize_with(len, Vec::new);
+}
+
+/// Empties `v` and refills it with `len` copies of `value`, keeping its
+/// allocation.
+pub(crate) fn refill<T: Clone>(v: &mut Vec<T>, len: usize, value: T) {
+    v.clear();
+    v.resize(len, value);
+}
 
 /// Policy knobs for folding accumulated updates back into a fresh
 /// factorisation.
@@ -234,6 +279,29 @@ enum Phase {
     LowerTBwd,
 }
 
+/// Working matrix of one [`LuFactors::eliminate`] run. Every field is
+/// re-initialised at the start of a run; only the allocations carry over.
+#[derive(Debug, Clone, Default)]
+struct ElimScratch {
+    /// Active columns: `(row, value)` per basis position.
+    wcols: Vec<Vec<(usize, f64)>>,
+    /// Per row, a superset of the active columns with an entry there.
+    rows_pat: Vec<Vec<usize>>,
+    /// Active non-zeros per row.
+    row_count: Vec<usize>,
+    /// Column-count buckets of candidate pivot columns.
+    buckets: Vec<Vec<usize>>,
+    /// Dense values of the column being updated (valid where `occ` holds
+    /// the current stamp).
+    x: Vec<f64>,
+    /// Occupancy stamps of `x`.
+    occ: Vec<u32>,
+    /// `U` entries recorded per pivot step, by basis position.
+    u_tmp: Vec<Vec<(usize, f64)>>,
+    /// Pattern of the column being updated.
+    patk: Vec<usize>,
+}
+
 /// Sparse LU factorisation of a simplex basis with in-place
 /// Forrest–Tomlin updates and hyper-sparse triangular solves. See the
 /// [module docs](self) for the algorithm and the update calculus.
@@ -300,18 +368,18 @@ pub struct LuFactors {
     /// Scratch pattern buffers (row/position and slot space).
     pat: Vec<usize>,
     pat2: Vec<usize>,
-    /// DFS reach output (postorder, then sorted by pivotal position).
+    /// DFS reach output: postorder, then put into the order its solve
+    /// phase runs in (see [`order_reach_by_slot`](Self::order_reach_by_slot)).
     reach: Vec<usize>,
     /// DFS stack of `(slot, next child index)`.
     rstack: Vec<(usize, usize)>,
-    /// Visit stamps for the DFS and pattern tracking.
+    /// Visit stamps for the DFS and pattern tracking. After a reach, the
+    /// slots marked with the current stamp are exactly the reach.
     mark: Vec<u32>,
     stamp: u32,
-    /// When set, the hyper kernels record the result's (superset)
-    /// pattern into `result_pat` — the `*_tracked` entry points.
-    track: bool,
-    /// Result pattern captured by the last tracked solve.
-    result_pat: Vec<usize>,
+    /// Working matrix of [`eliminate`](Self::eliminate), kept between
+    /// refactorisations for its allocations.
+    elim: ElimScratch,
     /// Deterministic work accrued since the last harvest.
     work: u64,
     /// Factorisation statistics since the last harvest.
@@ -324,7 +392,7 @@ impl LuFactors {
     #[must_use]
     pub fn identity(m: usize) -> Self {
         let mut lu = LuFactors {
-            m,
+            m: 0,
             p: Vec::new(),
             pinv: Vec::new(),
             q: Vec::new(),
@@ -338,43 +406,63 @@ impl LuFactors {
             u_diag: Vec::new(),
             ft: Vec::new(),
             border: Vec::new(),
-            lu_nnz: m,
-            u_nnz: m,
-            u_nnz0: m,
+            lu_nnz: 0,
+            u_nnz: 0,
+            u_nnz0: 0,
             file_nnz: 0,
             updates: 0,
             hyper_cutoff: HYPER_DENSITY_CUTOFF,
-            scratch: vec![0.0; m],
-            aux: vec![0.0; m],
+            scratch: Vec::new(),
+            aux: Vec::new(),
             pat: Vec::new(),
             pat2: Vec::new(),
             reach: Vec::new(),
             rstack: Vec::new(),
-            mark: vec![0; m],
+            mark: Vec::new(),
             stamp: 0,
-            track: false,
-            result_pat: Vec::new(),
+            elim: ElimScratch::default(),
             work: 0,
             stats: FactorStats::default(),
         };
-        lu.reset_identity();
+        lu.reinit(m);
         lu
+    }
+
+    /// Re-initialises these factors in place to exactly the state
+    /// [`identity(m)`](Self::identity) builds — undrained work and
+    /// statistics discarded, default density cutover — while keeping
+    /// every buffer's allocation.
+    pub(crate) fn reinit(&mut self, m: usize) {
+        self.m = m;
+        self.hyper_cutoff = HYPER_DENSITY_CUTOFF;
+        refill(&mut self.scratch, m, 0.0);
+        refill(&mut self.aux, m, 0.0);
+        refill(&mut self.mark, m, 0);
+        self.stamp = 0;
+        self.work = 0;
+        self.stats = FactorStats::default();
+        self.reset_identity();
     }
 
     /// Resets to the identity basis without a factorisation pass.
     pub fn reset_identity(&mut self) {
         let m = self.m;
-        self.p = (0..m).collect();
-        self.pinv = (0..m).collect();
-        self.q = (0..m).collect();
-        self.qinv = (0..m).collect();
-        self.order = (0..m).collect();
-        self.pos = (0..m).collect();
-        self.l_cols = vec![Vec::new(); m];
-        self.l_rows = vec![Vec::new(); m];
-        self.u_cols = vec![Vec::new(); m];
-        self.u_rows = vec![Vec::new(); m];
-        self.u_diag = vec![1.0; m];
+        for perm in [
+            &mut self.p,
+            &mut self.pinv,
+            &mut self.q,
+            &mut self.qinv,
+            &mut self.order,
+            &mut self.pos,
+        ] {
+            perm.clear();
+            perm.extend(0..m);
+        }
+        clear_lists(&mut self.l_cols, m);
+        clear_lists(&mut self.l_rows, m);
+        clear_lists(&mut self.u_cols, m);
+        clear_lists(&mut self.u_rows, m);
+        refill(&mut self.u_diag, m, 1.0);
         self.ft.clear();
         self.border.clear();
         self.lu_nnz = m;
@@ -443,8 +531,8 @@ impl LuFactors {
     }
 
     /// Applies the bordered-growth transforms to an FTRAN right-hand side
-    /// (row space), newest growth first. When `pat` is `Some`, rows the
-    /// border turned non-zero are pushed onto it so the hyper-sparse
+    /// (row space), newest growth first. With `track`, rows the border
+    /// turned non-zero are pushed onto `self.pat` so the hyper-sparse
     /// kernels keep a superset pattern.
     fn apply_border_ftran(&mut self, x: &mut [f64], track: bool) {
         if self.border.is_empty() {
@@ -476,28 +564,23 @@ impl LuFactors {
     }
 
     /// Applies the transposed bordered-growth transforms to a BTRAN
-    /// result (row space), oldest growth first.
-    fn apply_border_btran(&mut self, x: &mut [f64]) {
+    /// result (row space), oldest growth first. Rows they write are
+    /// pushed onto `pattern` when given (possibly more than once).
+    fn apply_border_btran(&mut self, x: &mut [f64], mut pattern: Option<&mut Vec<usize>>) {
         if self.border.is_empty() {
             return;
         }
         let mut visited = 0u64;
-        let LuFactors {
-            border,
-            track,
-            result_pat,
-            ..
-        } = self;
-        for b in border.iter() {
+        for b in &self.border {
             let v = x[b.row];
             if v == 0.0 {
                 continue;
             }
             for &(j, mu) in &b.entries {
                 x[j] -= mu * v;
-                if *track {
-                    result_pat.push(j);
-                }
+            }
+            if let Some(pattern) = pattern.as_deref_mut() {
+                pattern.extend(b.entries.iter().map(|&(j, _)| j));
             }
             visited += b.entries.len() as u64;
         }
@@ -575,18 +658,13 @@ impl LuFactors {
         self.updates = 0;
         self.p.resize(m, 0);
         self.q.resize(m, 0);
-        self.pinv.clear();
-        self.pinv.resize(m, usize::MAX);
+        refill(&mut self.pinv, m, usize::MAX);
         // Elimination flags pivoted columns through `qinv`; the
         // epilogue rebuilds it from `q` either way.
-        self.qinv.clear();
-        self.qinv.resize(m, usize::MAX);
-        self.l_cols.clear();
-        self.l_cols.resize(m, Vec::new());
-        self.u_cols.clear();
-        self.u_cols.resize(m, Vec::new());
-        self.u_diag.clear();
-        self.u_diag.resize(m, 0.0);
+        refill(&mut self.qinv, m, usize::MAX);
+        clear_lists(&mut self.l_cols, m);
+        clear_lists(&mut self.u_cols, m);
+        refill(&mut self.u_diag, m, 0.0);
     }
 
     /// Epilogue of [`eliminate`](Self::eliminate): permutation
@@ -594,8 +672,7 @@ impl LuFactors {
     /// refreshes the fill counters and stats.
     fn factorize_finish(&mut self, mut ops: u64) {
         let m = self.m;
-        self.qinv.clear();
-        self.qinv.resize(m, 0);
+        refill(&mut self.qinv, m, 0);
         for (k, &pos) in self.q.iter().enumerate() {
             self.qinv[pos] = k;
         }
@@ -603,15 +680,13 @@ impl LuFactors {
         self.order.extend(0..m);
         self.pos.clear();
         self.pos.extend(0..m);
-        self.l_rows.clear();
-        self.l_rows.resize(m, Vec::new());
+        clear_lists(&mut self.l_rows, m);
         for (k, col) in self.l_cols.iter().enumerate() {
             for &(row, val) in col {
                 self.l_rows[row].push((k, val));
             }
         }
-        self.u_rows.clear();
-        self.u_rows.resize(m, Vec::new());
+        clear_lists(&mut self.u_rows, m);
         for (k, col) in self.u_cols.iter().enumerate() {
             for &(i, val) in col {
                 self.u_rows[i].push((k, val));
@@ -642,6 +717,28 @@ impl LuFactors {
             self.factorize_finish(0);
             return true;
         }
+        let LuFactors {
+            p,
+            pinv,
+            q,
+            qinv,
+            l_cols,
+            u_cols,
+            u_diag,
+            elim,
+            work,
+            ..
+        } = self;
+        let ElimScratch {
+            wcols,
+            rows_pat,
+            row_count,
+            buckets,
+            x,
+            occ,
+            u_tmp,
+            patk,
+        } = elim;
 
         // Working matrix: column-wise values, row-wise patterns, live
         // active-submatrix counts. `rows_pat[i]` is a superset of the
@@ -649,42 +746,41 @@ impl LuFactors {
         // already-pivoted columns, which are skipped on sight); columns
         // hold no stale entries — eliminated rows are compacted out the
         // moment their pivot row is processed.
-        let mut wcols: Vec<Vec<(usize, f64)>> = Vec::with_capacity(m);
-        let mut rows_pat: Vec<Vec<usize>> = vec![Vec::new(); m];
-        let mut row_count = vec![0usize; m];
+        clear_lists(wcols, m);
+        clear_lists(rows_pat, m);
+        refill(row_count, m, 0);
         let mut ops = a.nnz() as u64 + m as u64;
         for (pos, &c) in cols.iter().enumerate() {
-            let col: Vec<(usize, f64)> = if c < n_struct {
+            let col = &mut wcols[pos];
+            if c < n_struct {
                 let (ri, vv) = a.col(c);
-                ri.iter().zip(vv).map(|(&i, &v)| (i, v)).collect()
+                col.extend(ri.iter().zip(vv).map(|(&i, &v)| (i, v)));
             } else {
-                vec![(c - n_struct, 1.0)]
-            };
-            for &(i, _) in &col {
+                col.push((c - n_struct, 1.0));
+            }
+            for &(i, _) in col.iter() {
                 rows_pat[i].push(pos);
                 row_count[i] += 1;
             }
-            wcols.push(col);
         }
         // Column-count buckets; entries go stale when elimination moves
         // a count and are lazily rebucketed on examination.
-        let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); m + 1];
+        clear_lists(buckets, m + 1);
         for (pos, col) in wcols.iter().enumerate() {
             if col.is_empty() {
-                self.work += ops;
+                *work += ops;
                 return false; // structurally singular (empty column)
             }
             buckets[col.len()].push(pos);
         }
         // Dense scratch for one column update at a time.
-        let mut x = vec![0.0f64; m];
-        let mut occ = vec![0u32; m];
+        refill(x, m, 0.0);
+        refill(occ, m, 0);
         let mut occ_stamp = 0u32;
         // U entries recorded row-wise at pivot time (basis-position
         // column ids); mapped to slots in the epilogue once `qinv` of
         // every position is known.
-        let mut u_tmp: Vec<Vec<(usize, f64)>> = vec![Vec::new(); m];
-        let mut patk: Vec<usize> = Vec::new();
+        clear_lists(u_tmp, m);
 
         for step in 0..m {
             // --- Pivot selection: ascending active column count, best
@@ -701,7 +797,7 @@ impl LuFactors {
                 let mut idx = 0;
                 while idx < buckets[count].len() {
                     let pos = buckets[count][idx];
-                    if self.qinv[pos] != usize::MAX {
+                    if qinv[pos] != usize::MAX {
                         buckets[count].swap_remove(idx);
                         continue; // already pivoted
                     }
@@ -751,27 +847,29 @@ impl LuFactors {
                 }
             }
             if best_col == usize::MAX {
-                self.work += ops;
+                *work += ops;
                 return false; // every remaining column numerically nil
             }
             let (pcol, prow) = (best_col, best_row);
 
-            // --- Eliminate pivot (prow, pcol) at slot `step`. ---
-            self.p[step] = prow;
-            self.pinv[prow] = step;
-            self.q[step] = pcol;
-            self.qinv[pcol] = step;
-            let pivot_col = std::mem::take(&mut wcols[pcol]);
+            // --- Eliminate pivot (prow, pcol) at slot `step`. The pivot
+            // column stays in `wcols` unread: every later access skips
+            // pivoted columns. ---
+            p[step] = prow;
+            pinv[prow] = step;
+            q[step] = pcol;
+            qinv[pcol] = step;
+            let pivot_col = &wcols[pcol];
             let mut diag = 0.0f64;
-            for &(i, v) in &pivot_col {
+            for &(i, v) in pivot_col {
                 if i == prow {
                     diag = v;
                 }
             }
-            self.u_diag[step] = diag;
+            u_diag[step] = diag;
             let inv = 1.0 / diag;
-            let mut lcol: Vec<(usize, f64)> = Vec::with_capacity(pivot_col.len() - 1);
-            for &(i, v) in &pivot_col {
+            let lcol = &mut l_cols[step];
+            for &(i, v) in pivot_col {
                 if i != prow {
                     lcol.push((i, v * inv));
                     row_count[i] -= 1; // entry leaves with the pivot column
@@ -779,12 +877,13 @@ impl LuFactors {
             }
             ops += pivot_col.len() as u64;
             row_count[prow] = 0;
+            let lcol = &l_cols[step];
             // Schur-complement update: every active column with an entry
             // in the pivot row absorbs `−l · u` fill, sees its pivot-row
             // entry removed, and is rebucketed at its new count.
-            let rp = std::mem::take(&mut rows_pat[prow]);
+            let mut rp = std::mem::take(&mut rows_pat[prow]);
             for &k in &rp {
-                if self.qinv[k] != usize::MAX {
+                if qinv[k] != usize::MAX {
                     continue; // stale: column already pivoted
                 }
                 let colk = &mut wcols[k];
@@ -807,7 +906,7 @@ impl LuFactors {
                 ops += colk.len() as u64;
                 if ukval != 0.0 {
                     u_tmp[step].push((k, ukval));
-                    for &(i, lv) in &lcol {
+                    for &(i, lv) in lcol {
                         if occ[i] == occ_stamp {
                             x[i] -= lv * ukval;
                         } else {
@@ -821,7 +920,7 @@ impl LuFactors {
                     ops += lcol.len() as u64;
                 }
                 colk.clear();
-                for &i in &patk {
+                for &i in patk.iter() {
                     // Exact cancellations keep their (zero) entry: the
                     // row patterns and counts stay consistent without
                     // searching `rows_pat` for removals.
@@ -830,16 +929,19 @@ impl LuFactors {
                 ops += patk.len() as u64;
                 buckets[colk.len().min(m)].push(k);
             }
-            self.l_cols[step] = lcol;
+            // The pivot row is never read again; hand its list back for
+            // the allocation.
+            rp.clear();
+            rows_pat[prow] = rp;
         }
 
         // Map the recorded U rows into slot space now that every basis
         // position has its elimination slot.
         for (s, entries) in u_tmp.iter().enumerate() {
             for &(k, val) in entries {
-                let t = self.qinv[k];
+                let t = qinv[k];
                 debug_assert!(t > s, "U entry below the diagonal");
-                self.u_cols[t].push((s, val));
+                u_cols[t].push((s, val));
             }
         }
         self.factorize_finish(ops);
@@ -916,6 +1018,63 @@ impl LuFactors {
             }
         }
         edges
+    }
+
+    /// Puts `self.reach` into ascending slot order (the `L` and `Lᵀ`
+    /// solves). Right after [`compute_reach`](Self::compute_reach) the
+    /// slots marked with the current stamp are exactly the reach, so a
+    /// sweep over the slots yields the same order a sort does.
+    fn order_reach_by_slot(&mut self) {
+        let LuFactors {
+            m,
+            reach,
+            mark,
+            stamp,
+            ..
+        } = self;
+        if sweep_beats_sort(reach.len(), *m, SLOT_COMPARISON) {
+            reach.clear();
+            reach.extend((0..*m).filter(|&k| mark[k] == *stamp));
+        } else {
+            reach.sort_unstable();
+        }
+    }
+
+    /// Puts `self.reach` into ascending pivotal position (the `U` and
+    /// `Uᵀ` solves), by a sweep over `order` or a sort; see
+    /// [`order_reach_by_slot`](Self::order_reach_by_slot).
+    fn order_reach_by_position(&mut self) {
+        let LuFactors {
+            m,
+            order,
+            pos,
+            reach,
+            mark,
+            stamp,
+            ..
+        } = self;
+        if sweep_beats_sort(reach.len(), *m, POSITION_COMPARISON) {
+            reach.clear();
+            reach.extend(order.iter().copied().filter(|&k| mark[k] == *stamp));
+        } else {
+            reach.sort_unstable_by_key(|&k| pos[k]);
+        }
+    }
+
+    /// Writes the ascending result pattern of the hyper solve that just
+    /// ran into `result`: the image of its last reach under `map`, the
+    /// slot-to-index permutation of the result space (`q` for FTRAN's
+    /// basis positions, `p` for BTRAN's rows), whose inverse is `inv`.
+    /// The reach's marks are still current, so a sweep over the result
+    /// space through `inv` gives the same order as sorting the image.
+    fn reach_pattern(&self, map: &[usize], inv: &[usize], result: &mut Vec<usize>) {
+        result.clear();
+        if sweep_beats_sort(self.reach.len(), self.m, PATTERN_COMPARISON) {
+            result.extend((0..self.m).filter(|&i| self.mark[inv[i]] == self.stamp));
+        } else {
+            result.extend(self.reach.iter().map(|&k| map[k]));
+            result.sort_unstable();
+        }
     }
 
     /// FTRAN: overwrites `x` (indexed by constraint row) with `B⁻¹ x`
@@ -1000,16 +1159,12 @@ impl LuFactors {
             return false;
         }
         debug_check_superset(x, &self.pat);
-        self.track = true;
-        self.result_pat.clear();
         self.ftran_hyper(x);
-        self.track = false;
-        std::mem::swap(result, &mut self.result_pat);
-        // Transform targets can repeat reach positions; consumers
-        // apply pattern-indexed updates exactly once per position, so
-        // canonicalise here (sorted order also keeps them deterministic).
-        result.sort_unstable();
-        result.dedup();
+        // The result lives on the `U` reach, one basis position per
+        // slot, so the pattern is duplicate-free; ascending order keeps
+        // the consumers' pattern-indexed arithmetic independent of the
+        // DFS.
+        self.reach_pattern(&self.q, &self.qinv, result);
         true
     }
 
@@ -1025,21 +1180,21 @@ impl LuFactors {
         x[r] = 1.0;
         if self.hyper_cap() < 1 {
             self.btran_scan(x);
-            self.apply_border_btran(x);
+            self.apply_border_btran(x, None);
             return false;
         }
         self.pat.clear();
         self.pat.push(r);
-        self.track = true;
-        self.result_pat.clear();
         self.btran_hyper(x);
-        self.apply_border_btran(x);
-        self.track = false;
-        std::mem::swap(result, &mut self.result_pat);
-        // Border targets can repeat reach positions; see
-        // `ftran_sparse_tracked` for why the pattern is canonicalised.
-        result.sort_unstable();
-        result.dedup();
+        self.reach_pattern(&self.p, &self.pinv, result);
+        if !self.border.is_empty() {
+            // Border targets can repeat rows of the reach and of each
+            // other; consumers apply pattern-indexed updates exactly once
+            // per row, so canonicalise (sorted and duplicate-free).
+            self.apply_border_btran(x, Some(result));
+            result.sort_unstable();
+            result.dedup();
+        }
         true
     }
 
@@ -1115,7 +1270,11 @@ impl LuFactors {
 
     /// Hyper-sparse FTRAN kernel over the reach of `self.pat` (row
     /// indices). Executes the same scatter operations as the scanning
-    /// kernel, in the same pivot order, visiting only reached slots.
+    /// kernel, in the same pivot order, visiting only reached slots:
+    /// each reach is ordered by a mark sweep or a sort
+    /// ([`order_reach_by_slot`](Self::order_reach_by_slot)), and either
+    /// gives the scanning kernel's order. Leaves the `U` reach in
+    /// `self.reach`, its marks current.
     fn ftran_hyper(&mut self, x: &mut [f64]) {
         // Pattern rows → starting slots of the L reach.
         let LuFactors {
@@ -1126,7 +1285,7 @@ impl LuFactors {
             pat2.push(pinv[row]);
         }
         let mut edges = self.compute_reach(Phase::LowerFwd);
-        self.reach.sort_unstable();
+        self.order_reach_by_slot();
         let mut visited = 0u64;
         {
             let LuFactors {
@@ -1187,19 +1346,15 @@ impl LuFactors {
         }
         // Backward solve U z = y over the reach, descending pivotal order.
         edges += self.compute_reach(Phase::UpperBwd);
+        self.order_reach_by_position();
         let LuFactors {
             q,
-            order: _,
-            pos,
             u_cols,
             u_diag,
             reach,
             scratch: z,
-            track,
-            result_pat,
             ..
         } = self;
-        reach.sort_unstable_by_key(|&k| pos[k]);
         for &k in reach.iter().rev() {
             let zk = z[k];
             if zk == 0.0 {
@@ -1212,14 +1367,10 @@ impl LuFactors {
             }
             visited += u_cols[k].len() as u64;
         }
-        // Scatter into basis-position space and re-zero the scratch;
-        // the reach is the tracked result pattern.
+        // Scatter into basis-position space and re-zero the scratch.
         for &k in reach.iter() {
             x[q[k]] = z[k];
             z[k] = 0.0;
-            if *track {
-                result_pat.push(q[k]);
-            }
         }
         self.work += visited + edges + self.reach.len() as u64;
         self.stats.ftran_solves += 1;
@@ -1250,7 +1401,7 @@ impl LuFactors {
         } else {
             self.btran_scan(x);
         }
-        self.apply_border_btran(x);
+        self.apply_border_btran(x, None);
     }
 
     /// BTRAN with a caller-supplied non-zero pattern: `pattern` must be a
@@ -1265,7 +1416,7 @@ impl LuFactors {
         } else {
             self.btran_scan(x);
         }
-        self.apply_border_btran(x);
+        self.apply_border_btran(x, None);
     }
 
     /// Scanning BTRAN kernel: sweeps every slot in scatter form, skipping
@@ -1335,7 +1486,9 @@ impl LuFactors {
 
     /// Hyper-sparse BTRAN kernel over the reach of `self.pat` (basis
     /// positions). Same scatter operations as the scanning kernel, same
-    /// pivot order, only reached slots visited.
+    /// pivot order, only reached slots visited; reaches are ordered as
+    /// in [`ftran_hyper`](Self::ftran_hyper). Leaves the `Lᵀ` reach in
+    /// `self.reach`, its marks current.
     fn btran_hyper(&mut self, x: &mut [f64]) {
         let mut visited = 0u64;
         {
@@ -1367,9 +1520,9 @@ impl LuFactors {
             }
         }
         let mut edges = self.compute_reach(Phase::UpperTFwd);
+        self.order_reach_by_position();
         {
             let LuFactors {
-                pos,
                 u_rows,
                 u_diag,
                 ft,
@@ -1380,7 +1533,6 @@ impl LuFactors {
                 stamp,
                 ..
             } = self;
-            reach.sort_unstable_by_key(|&k| pos[k]);
             // Forward solve Uᵀ z = c over the reach, ascending pivotal
             // order, scatter form.
             for &k in reach.iter() {
@@ -1424,26 +1576,20 @@ impl LuFactors {
             }
         }
         edges += self.compute_reach(Phase::LowerTBwd);
+        self.order_reach_by_slot();
         let LuFactors {
             p,
             l_rows,
             reach,
             scratch: z,
-            track,
-            result_pat,
             ..
         } = self;
-        reach.sort_unstable();
         // Backward solve Lᵀ y = z over the reach, descending slots; the
-        // scratch is re-zeroed as each slot is consumed. The reach is
-        // the tracked result pattern (constraint rows).
+        // scratch is re-zeroed as each slot is consumed.
         for &k in reach.iter().rev() {
             let v = z[k];
             z[k] = 0.0;
             x[p[k]] = v;
-            if *track {
-                result_pat.push(p[k]);
-            }
             if v == 0.0 {
                 continue;
             }
@@ -1984,6 +2130,86 @@ mod tests {
         assert!(lu.needs_refactor(&opts));
     }
 
+    /// `m × m` block-diagonal matrix with column-diagonally-dominant
+    /// 6-row blocks, so every basis mixing its columns with slacks is
+    /// non-singular: unit right-hand sides reach at most a block (small
+    /// reaches, sorted) while dense ones reach every slot (swept).
+    fn block_csc(m: usize) -> CscMatrix {
+        let cols: Vec<Vec<(usize, f64)>> = (0..m)
+            .map(|j| {
+                let b = j / 6 * 6;
+                let mut col = vec![(j, 4.0)];
+                for (off, v) in [(1, 1.0), (3, -1.0)] {
+                    let i = b + (j - b + off) % 6;
+                    if i < m {
+                        col.push((i, v));
+                    }
+                }
+                col
+            })
+            .collect();
+        CscMatrix::from_columns(m, &cols)
+    }
+
+    /// Runs the four hyper kernels (two of them tracked) against the
+    /// scanning kernels on unit and dense right-hand sides, asserting
+    /// bit-identical results, reaches in the order their phase runs in,
+    /// and tracked patterns that are sorted, duplicate-free supersets of
+    /// the result's support. Returns how many final reaches took the
+    /// sort (`[0]`) and the sweep (`[1]`).
+    fn probe_kernels(scan: &mut LuFactors, hyper: &mut LuFactors) -> [usize; 2] {
+        let m = scan.m;
+        let mut sides = [0usize; 2];
+        let mut pattern = Vec::new();
+        let dense: Vec<f64> = (0..m).map(|i| 1.0 + (i % 5) as f64).collect();
+        let units = (0..m).map(|r| {
+            let mut e = vec![0.0; m];
+            e[r] = 1.0;
+            e
+        });
+        for rhs in units.chain([dense]) {
+            let support: Vec<usize> = (0..m).filter(|&i| rhs[i] != 0.0).collect();
+            let mut x1 = rhs.clone();
+            let mut x2 = rhs.clone();
+            scan.ftran(&mut x1);
+            // Border rows can push a dense pattern past the cutover.
+            let tracked = hyper.ftran_sparse_tracked(&mut x2, &support, &mut pattern);
+            assert_eq!(x1, x2, "ftran of {support:?}");
+            if tracked {
+                let last = &hyper.reach;
+                assert!(last.windows(2).all(|w| hyper.pos[w[0]] < hyper.pos[w[1]]));
+                let mut want: Vec<usize> = last.iter().map(|&k| hyper.q[k]).collect();
+                want.sort_unstable();
+                assert_eq!(pattern, want, "ftran pattern of {support:?}");
+                assert!((0..m).all(|i| x2[i] == 0.0 || pattern.binary_search(&i).is_ok()));
+                sides[usize::from(sweep_beats_sort(last.len(), m, POSITION_COMPARISON))] += 1;
+            }
+
+            let mut y1 = rhs.clone();
+            let mut y2 = rhs.clone();
+            scan.btran(&mut y1);
+            hyper.btran(&mut y2);
+            assert_eq!(y1, y2, "btran of {support:?}");
+            let last = &hyper.reach;
+            assert!(last.windows(2).all(|w| w[0] < w[1]));
+            sides[usize::from(sweep_beats_sort(last.len(), m, SLOT_COMPARISON))] += 1;
+            if let [r] = support[..] {
+                let mut u = vec![0.0; m];
+                assert!(hyper.btran_unit_tracked(r, &mut u, &mut pattern));
+                assert_eq!(u, y1, "tracked btran of e{r}");
+                assert!(pattern.windows(2).all(|w| w[0] < w[1]));
+                assert!((0..m).all(|i| u[i] == 0.0 || pattern.binary_search(&i).is_ok()));
+            }
+        }
+        sides
+    }
+
+    /// The hyper kernels order each reach by a mark sweep or a sort,
+    /// whichever its size favours; either must reproduce the scanning
+    /// kernels bit for bit — on identity pivot order, after
+    /// Forrest–Tomlin updates (pivot order no longer slot order), and on
+    /// a border-grown factorisation whose tracked BTRAN patterns carry
+    /// duplicates before canonicalisation.
     #[test]
     fn hyper_and_scanning_kernels_agree_exactly() {
         let a = sample_csc();
@@ -2010,6 +2236,47 @@ mod tests {
             hyper.btran(&mut y2);
             assert_eq!(y1, y2, "btran e{r}");
         }
+
+        let m = 96;
+        let a = block_csc(m);
+        let mut basis: Vec<usize> = (0..m).map(|j| if j % 3 == 2 { m + j } else { j }).collect();
+        let mut scan = LuFactors::identity(m);
+        let mut hyper = LuFactors::identity(m);
+        scan.set_hyper_density_cutoff(0.0);
+        hyper.set_hyper_density_cutoff(1.0);
+        assert!(scan.factorize(&basis, &a, m));
+        assert!(hyper.factorize(&basis, &a, m));
+        let mut sides = probe_kernels(&mut scan, &mut hyper);
+        // Pivot the missing structural columns in over their slacks.
+        let opts = FactorOpts::default();
+        for j in (2..m).step_by(9) {
+            let mut w1 = vec![0.0; m];
+            a.axpy_col(&mut w1, 1.0, j);
+            let mut w2 = w1.clone();
+            scan.ftran(&mut w1);
+            hyper.ftran(&mut w2);
+            assert_eq!(w1, w2);
+            basis[j] = j;
+            assert!(scan.update(j, &w1, &opts));
+            assert!(hyper.update(j, &w2, &opts));
+        }
+        assert!(hyper.order.iter().enumerate().any(|(j, &k)| j != k));
+        for (side, n) in sides.iter_mut().zip(probe_kernels(&mut scan, &mut hyper)) {
+            *side += n;
+        }
+        // Grow by two rows over several basic columns each.
+        let rows: Vec<Vec<(usize, f64)>> = vec![
+            (0..m).step_by(5).map(|j| (j, 1.0)).collect(),
+            (1..m).step_by(7).map(|j| (j, -2.0)).collect(),
+        ];
+        let borders = borders_for(&mut scan, &basis, m, &rows);
+        assert!(borders.iter().all(|b| b.len() > 1));
+        scan.grow(borders.clone());
+        hyper.grow(borders);
+        for (side, n) in sides.iter_mut().zip(probe_kernels(&mut scan, &mut hyper)) {
+            *side += n;
+        }
+        assert!(sides[0] > 0 && sides[1] > 0, "reach sides {sides:?}");
     }
 
     /// Multipliers `μ_i = B⁻ᵀ n_i` for appending `rows` (structural

@@ -61,7 +61,7 @@
 
 use crate::basis::{Basis, VarStatus};
 use crate::expr::ConstraintSense;
-use crate::factor::{FactorOpts, LuFactors};
+use crate::factor::{refill, sweep_beats_sort, FactorOpts, LuFactors, PATTERN_COMPARISON};
 use crate::model::Model;
 use crate::simplex::{LpConfig, LpResult, LpStatus, PricingRule, TOL};
 use crate::sparse::{CscMatrix, RowMajor};
@@ -233,71 +233,41 @@ fn norm_bounds(l: f64, u: f64) -> (f64, f64) {
 }
 
 impl Engine {
+    /// An engine for `model` under `bounds`: [`reinit`](Self::reinit)
+    /// applied to an empty engine.
     fn new(model: &Model, bounds: &[(f64, f64)], config: &LpConfig) -> Self {
         let a = model.csc();
-        let m = model.num_constraints();
-        let n = model.num_vars();
-        let n_total = n + m;
-        let mut lower = vec![0.0f64; n_total];
-        let mut upper = vec![f64::INFINITY; n_total];
-        for j in 0..n {
-            (lower[j], upper[j]) = norm_bounds(bounds[j].0, bounds[j].1);
-        }
-        let mut rhs = vec![0.0f64; m];
-        for (i, con) in model.constraints().iter().enumerate() {
-            rhs[i] = con.rhs;
-            let s = n + i;
-            match con.sense {
-                ConstraintSense::Le => {
-                    lower[s] = 0.0;
-                    upper[s] = f64::INFINITY;
-                }
-                ConstraintSense::Ge => {
-                    lower[s] = f64::NEG_INFINITY;
-                    upper[s] = 0.0;
-                }
-                ConstraintSense::Eq => {
-                    lower[s] = 0.0;
-                    upper[s] = 0.0;
-                }
-            }
-        }
-        let mut cost = vec![0.0f64; n_total];
-        for &(v, c) in model.objective() {
-            cost[v.index()] = c;
-        }
-        let cost_nnz = cost.iter().filter(|&&c| c != 0.0).count();
         let rows = a.to_row_major();
-        Engine {
+        let mut engine = Engine {
             a,
             rows,
-            m,
-            n,
-            n_total,
-            lower,
-            upper,
-            cost,
-            cost_nnz,
+            m: 0,
+            n: 0,
+            n_total: 0,
+            lower: Vec::new(),
+            upper: Vec::new(),
+            cost: Vec::new(),
+            cost_nnz: 0,
             base_cost: None,
-            rhs,
-            status: vec![VarStatus::AtLower; n_total],
-            basis: vec![0; m],
-            in_row: vec![usize::MAX; n_total],
-            factor: LuFactors::identity(m),
+            rhs: Vec::new(),
+            status: Vec::new(),
+            basis: Vec::new(),
+            in_row: Vec::new(),
+            factor: LuFactors::identity(0),
             opts: config.factor_opts(),
             pricing: config.pricing,
             bound_flips: config.bound_flips,
-            devex: vec![1.0; m],
+            devex: Vec::new(),
             devex_max: 1.0,
-            dse: vec![1.0; m],
+            dse: Vec::new(),
             dse_ok: true,
-            beta: vec![0.0; m],
-            d: vec![0.0; n_total],
-            alpha: vec![0.0; n_total],
+            beta: Vec::new(),
+            d: Vec::new(),
+            alpha: Vec::new(),
             alpha_dirty: false,
-            w: vec![0.0; m],
-            rho: vec![0.0; m],
-            flip_rhs: vec![0.0; m],
+            w: Vec::new(),
+            rho: Vec::new(),
+            flip_rhs: Vec::new(),
             cands: Vec::new(),
             flips: Vec::new(),
             pat: Vec::new(),
@@ -305,12 +275,84 @@ impl Engine {
             wpat: Vec::new(),
             tpat: Vec::new(),
             apat: Vec::new(),
-            amark: vec![0; n_total],
+            amark: Vec::new(),
             astamp: 0,
             age: 0,
             iterations: 0,
             work: 0,
+        };
+        engine.reinit(model, bounds, config);
+        engine
+    }
+
+    /// Re-initialises the engine in place for `model` under `bounds`, as
+    /// if built afresh: identity factors, every column at its lower
+    /// bound, zeroed scratch and counters. Only allocations survive — and
+    /// the row-major companion, when `model` still shares the engine's
+    /// CSC matrix (a shared `Arc` is the same immutable matrix).
+    fn reinit(&mut self, model: &Model, bounds: &[(f64, f64)], config: &LpConfig) {
+        let a = model.csc();
+        if !Arc::ptr_eq(&self.a, &a) {
+            self.rows = a.to_row_major();
+            self.a = a;
         }
+        let m = model.num_constraints();
+        let n = model.num_vars();
+        let n_total = n + m;
+        self.m = m;
+        self.n = n;
+        self.n_total = n_total;
+        refill(&mut self.lower, n_total, 0.0);
+        refill(&mut self.upper, n_total, f64::INFINITY);
+        for j in 0..n {
+            (self.lower[j], self.upper[j]) = norm_bounds(bounds[j].0, bounds[j].1);
+        }
+        refill(&mut self.rhs, m, 0.0);
+        for (i, con) in model.constraints().iter().enumerate() {
+            self.rhs[i] = con.rhs;
+            let s = n + i;
+            (self.lower[s], self.upper[s]) = match con.sense {
+                ConstraintSense::Le => (0.0, f64::INFINITY),
+                ConstraintSense::Ge => (f64::NEG_INFINITY, 0.0),
+                ConstraintSense::Eq => (0.0, 0.0),
+            };
+        }
+        refill(&mut self.cost, n_total, 0.0);
+        for &(v, c) in model.objective() {
+            self.cost[v.index()] = c;
+        }
+        self.cost_nnz = self.cost.iter().filter(|&&c| c != 0.0).count();
+        self.base_cost = None;
+        refill(&mut self.status, n_total, VarStatus::AtLower);
+        refill(&mut self.basis, m, 0);
+        refill(&mut self.in_row, n_total, usize::MAX);
+        self.factor.reinit(m);
+        self.opts = config.factor_opts();
+        self.pricing = config.pricing;
+        self.bound_flips = config.bound_flips;
+        refill(&mut self.devex, m, 1.0);
+        self.devex_max = 1.0;
+        refill(&mut self.dse, m, 1.0);
+        self.dse_ok = true;
+        refill(&mut self.beta, m, 0.0);
+        refill(&mut self.d, n_total, 0.0);
+        refill(&mut self.alpha, n_total, 0.0);
+        self.alpha_dirty = false;
+        refill(&mut self.w, m, 0.0);
+        refill(&mut self.rho, m, 0.0);
+        refill(&mut self.flip_rhs, m, 0.0);
+        self.cands.clear();
+        self.flips.clear();
+        self.pat.clear();
+        self.rpat.clear();
+        self.wpat.clear();
+        self.tpat.clear();
+        self.apat.clear();
+        refill(&mut self.amark, n_total, 0);
+        self.astamp = 0;
+        self.age = 0;
+        self.iterations = 0;
+        self.work = 0;
     }
 
     fn nonbasic_value(&self, j: usize) -> f64 {
@@ -1087,6 +1129,7 @@ impl Engine {
                     }
                     // Row i's logical column prices to ρᵢ directly.
                     self.alpha[self.n + i] = ri;
+                    self.amark[self.n + i] = self.astamp;
                     self.apat.push(self.n + i);
                     let (cols, vals) = self.rows.row(i);
                     for (&j, &v) in cols.iter().zip(vals) {
@@ -1100,8 +1143,16 @@ impl Engine {
                 }
                 // Canonical (ascending column) candidate order, so the
                 // ratio-test tie-breaks are independent of ρ's pattern
-                // order.
-                self.apat.sort_unstable();
+                // order. The marked columns are exactly α's support, so a
+                // sweep over the marks gives the sorted order too.
+                if sweep_beats_sort(self.apat.len(), self.n_total, PATTERN_COMPARISON) {
+                    self.apat.clear();
+                    let (amark, astamp) = (&self.amark, self.astamp);
+                    self.apat
+                        .extend((0..self.n_total).filter(|&j| amark[j] == astamp));
+                } else {
+                    self.apat.sort_unstable();
+                }
                 for &j in &self.apat {
                     if self.status[j] == VarStatus::Basic || self.upper[j] - self.lower[j] <= TOL {
                         continue; // basic, or fixed: can never enter
@@ -1464,10 +1515,16 @@ impl Engine {
 /// next solve can warm-start without refactorising when its warm basis is
 /// the context's live basis — the common case in diving loops and
 /// branch-and-bound plunges, where consecutive LPs differ by one or a few
-/// bound changes.
+/// bound changes. Every other solve re-initialises the held engine in
+/// place ([`Engine::reinit`]) instead of building a new one, so warm
+/// installs and cold starts reuse its buffers.
 #[derive(Default)]
 pub(crate) struct LpContext {
     engine: Option<Engine>,
+    /// Whether `engine` holds the live state of the last optimal solve —
+    /// the precondition of the hot path, `add_rows` and `set_objective`.
+    /// When clear, the engine only lends its allocations.
+    hot: bool,
 }
 
 impl LpContext {
@@ -1494,7 +1551,8 @@ impl LpContext {
             Miss,
             Done(Option<(LpResult, Option<Basis>)>, u64),
         }
-        let hot = if let (Some(basis), Some(engine)) = (warm, self.engine.as_mut()) {
+        let hot = if let (Some(basis), true, Some(engine)) = (warm, self.hot, self.engine.as_mut())
+        {
             if engine.age < config.refactor_interval && engine.matches(model, basis, config) {
                 engine.iterations = 0;
                 engine.work = 0;
@@ -1532,11 +1590,9 @@ impl LpContext {
                     // counters from the result `run` packaged them into.
                     carried_work = spent;
                     carried_stats.merge(&out.0.factor);
-                    self.engine = None;
+                    self.hot = false;
                 } else {
-                    if out.0.status != LpStatus::Optimal {
-                        self.engine = None;
-                    }
+                    self.hot = out.0.status == LpStatus::Optimal;
                     return Ok(out);
                 }
             }
@@ -1545,19 +1601,19 @@ impl LpContext {
                 // restart below, carrying the spent work so deterministic
                 // budgets stay honest.
                 carried_work = spent;
-                self.engine = None;
+                self.hot = false;
             }
             Hot::Miss => {}
         }
 
         // Warm path: reinstall the snapshot with a refactorisation.
         if let Some(basis) = warm {
-            let mut engine = Engine::new(model, bounds, config);
+            let mut engine = self.fresh_engine(model, bounds, config);
             engine.work += carried_work;
             if engine.install(basis) {
                 if let Some(mut out) = run(&mut engine, model, config) {
                     out.0.factor.merge(&carried_stats);
-                    self.keep_if_optimal(engine, out.0.status);
+                    self.keep(engine, out.0.status);
                     return Ok(out);
                 }
             }
@@ -1565,6 +1621,7 @@ impl LpContext {
             // up, carrying the spent work so budgets stay honest.
             carried_work = engine.work;
             carried_stats.merge(&engine.factor.take_stats());
+            self.engine = Some(engine);
         }
 
         // Cold path: all-slack dual-feasible start, with the
@@ -1574,49 +1631,49 @@ impl LpContext {
         // the dense fallback, carrying the spent work.
         let mut perturb = config.perturb;
         loop {
-            let mut engine = Engine::new(model, bounds, config);
+            let mut engine = self.fresh_engine(model, bounds, config);
             engine.work += carried_work;
             if perturb {
                 engine.apply_perturbation(config.perturb_seed);
             }
-            if !engine.cold_start() {
-                // Perturbed costs can flip a free column's preferred bound
-                // onto an infinite side; the unperturbed retry decides.
-                carried_work = engine.work;
-                carried_stats.merge(&engine.factor.take_stats());
-                if perturb {
-                    perturb = false;
-                    continue;
-                }
-                self.engine = None;
-                return Err(carried_work);
-            }
-            match run(&mut engine, model, config) {
-                Some(mut ok) => {
+            if engine.cold_start() {
+                if let Some(mut ok) = run(&mut engine, model, config) {
                     ok.0.factor.merge(&carried_stats);
-                    self.keep_if_optimal(engine, ok.0.status);
+                    self.keep(engine, ok.0.status);
                     return Ok(ok);
                 }
-                None => {
-                    carried_work = engine.work;
-                    carried_stats.merge(&engine.factor.take_stats());
-                    if perturb {
-                        perturb = false;
-                        continue;
-                    }
-                    self.engine = None;
-                    return Err(carried_work);
-                }
             }
+            // Perturbed costs can flip a free column's preferred bound
+            // onto an infinite side, or the run can fail; the unperturbed
+            // retry decides.
+            carried_work = engine.work;
+            carried_stats.merge(&engine.factor.take_stats());
+            self.engine = Some(engine);
+            if !perturb {
+                return Err(carried_work);
+            }
+            perturb = false;
         }
     }
 
-    fn keep_if_optimal(&mut self, engine: Engine, status: LpStatus) {
-        self.engine = if status == LpStatus::Optimal {
-            Some(engine)
-        } else {
-            None
-        };
+    /// The held engine re-initialised for `model` (a new one when none
+    /// is held). Clears `hot`: the engine's live state is gone.
+    fn fresh_engine(&mut self, model: &Model, bounds: &[(f64, f64)], config: &LpConfig) -> Engine {
+        self.hot = false;
+        match self.engine.take() {
+            Some(mut engine) => {
+                engine.reinit(model, bounds, config);
+                engine
+            }
+            None => Engine::new(model, bounds, config),
+        }
+    }
+
+    /// Holds `engine` again; its state is live (hot) only after an
+    /// optimal solve.
+    fn keep(&mut self, engine: Engine, status: LpStatus) {
+        self.engine = Some(engine);
+        self.hot = status == LpStatus::Optimal;
     }
 
     /// Incremental row addition: `model` is the session's view *after*
@@ -1634,7 +1691,7 @@ impl LpContext {
         old_m: usize,
         warm: &Basis,
     ) -> (Option<Basis>, u64) {
-        let Some(engine) = self.engine.as_mut() else {
+        let (true, Some(engine)) = (self.hot, self.engine.as_mut()) else {
             return (None, 0);
         };
         let usable = engine.m == old_m
@@ -1643,7 +1700,7 @@ impl LpContext {
             && warm.status == engine.status
             && engine.cost_matches(model);
         if !usable {
-            self.engine = None;
+            self.hot = false;
             return (None, 0);
         }
         engine.work = 0;
@@ -1652,7 +1709,7 @@ impl LpContext {
             (Some(engine.snapshot()), spent)
         } else {
             let spent = engine.work;
-            self.engine = None;
+            self.hot = false;
             (None, spent)
         }
     }
@@ -1661,7 +1718,7 @@ impl LpContext {
     /// warm state survived (dual-feasible reprice) plus the work spent;
     /// on failure the context is cleared and the next solve runs cold.
     pub(crate) fn set_objective(&mut self, model: &Model) -> (bool, u64) {
-        let Some(engine) = self.engine.as_mut() else {
+        let (true, Some(engine)) = (self.hot, self.engine.as_mut()) else {
             return (false, 0);
         };
         engine.work = 0;
@@ -1669,7 +1726,7 @@ impl LpContext {
             (true, engine.work)
         } else {
             let spent = engine.work;
-            self.engine = None;
+            self.hot = false;
             (false, spent)
         }
     }
@@ -1939,6 +1996,113 @@ mod tests {
         let (res, _) = solve(&m, &bounds, &config, None).expect("revised path");
         assert_eq!(res.status, LpStatus::Optimal);
         assert!((res.objective + 14.0 / 5.0).abs() < 1e-6);
+    }
+
+    /// Asserts two LP results are the same down to the bits: status,
+    /// objective, values, iterations, ticks and factor statistics.
+    fn assert_same_result(a: &LpResult, b: &LpResult, what: &str) {
+        let bits = |r: &LpResult| r.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(a.status, b.status, "{what}: status");
+        assert_eq!(
+            a.objective.to_bits(),
+            b.objective.to_bits(),
+            "{what}: objective"
+        );
+        assert_eq!(bits(a), bits(b), "{what}: values");
+        assert_eq!(a.iterations, b.iterations, "{what}: iterations");
+        assert_eq!(a.work_ticks, b.work_ticks, "{what}: work ticks");
+        assert_eq!(a.factor, b.factor, "{what}: factor stats");
+    }
+
+    /// Solves `model` warm from `warm` on `ctx` — which must then install
+    /// the basis on its held engine, not take the hot path — and on a
+    /// fresh context; both must report the same result.
+    fn assert_reused_install_matches_fresh(
+        ctx: &mut LpContext,
+        model: &Model,
+        bounds: &[(f64, f64)],
+        warm: &Basis,
+        what: &str,
+    ) -> Basis {
+        let live = ctx.engine.as_ref().expect("engine held");
+        assert!(
+            !ctx.hot || live.basis != warm.cols || live.status != warm.status,
+            "{what}: the solve must miss the hot path"
+        );
+        let (reused, basis) = ctx.solve(model, bounds, &cfg(), Some(warm)).expect(what);
+        let (fresh, _) = LpContext::default()
+            .solve(model, bounds, &cfg(), Some(warm))
+            .expect(what);
+        assert_eq!(reused.status, LpStatus::Optimal, "{what}");
+        assert_same_result(&reused, &fresh, what);
+        basis.expect("optimal solves return a basis")
+    }
+
+    /// Warm installs re-initialise the context's engine in place instead
+    /// of building a new one; the reuse must be invisible — including
+    /// after `add_rows` grew the engine's row count (and back down to the
+    /// original model) and after `set_objective` repriced it.
+    #[test]
+    fn warm_install_on_reused_engine_matches_fresh_context() {
+        // Large enough for both dense and sparse PRICE to run, so stale
+        // pricing scratch would show in the ticks.
+        let n = 96;
+        let model = ring_cover_model(n);
+        let root = vec![(0.0, 1.0); n];
+        let mut ctx = LpContext::default();
+        let (_, root_basis) = ctx.solve(&model, &root, &cfg(), None).expect("root");
+        let root_basis = root_basis.expect("root optimal");
+        // A child moves the live engine off the root basis, so siblings
+        // warm-started from the root basis install on the reused engine.
+        let mut child = root.clone();
+        child[0] = (1.0, 1.0);
+        child[5] = (1.0, 1.0);
+        let (_, child_basis) = ctx
+            .solve(&model, &child, &cfg(), Some(&root_basis))
+            .expect("child");
+        let child_basis = child_basis.expect("child optimal");
+        let mut sibling = root.clone();
+        sibling[0] = (0.0, 0.0);
+        assert_reused_install_matches_fresh(&mut ctx, &model, &sibling, &root_basis, "sibling");
+
+        // Grow the live engine by one cut row (m grows), then install a
+        // basis of the grown model that is not the live one.
+        let live = ctx.engine.as_ref().expect("engine held").snapshot();
+        let mut grown = model.clone();
+        let vars: Vec<_> = model.objective().iter().map(|&(v, _)| v).collect();
+        grown.append_row(
+            "cut",
+            grown.expr(vars[..6].iter().map(|&v| (v, 1.0))).geq(3.0),
+        );
+        let (absorbed, _) = ctx.add_rows(&grown, n, &live);
+        assert!(absorbed.is_some(), "the live engine absorbs the row");
+        assert_eq!(ctx.engine.as_ref().expect("engine held").m, n + 1);
+        let extend = |b: &Basis| {
+            let mut b = b.clone();
+            b.cols.push(n + n);
+            b.status.push(VarStatus::Basic);
+            b
+        };
+        assert_reused_install_matches_fresh(
+            &mut ctx,
+            &grown,
+            &root,
+            &extend(&child_basis),
+            "grown",
+        );
+        // And back onto the original model: m shrinks again.
+        let basis =
+            assert_reused_install_matches_fresh(&mut ctx, &model, &child, &root_basis, "shrunk");
+        assert_eq!(ctx.engine.as_ref().expect("engine held").m, n);
+
+        // Reprice the live engine under a scaled objective, then install
+        // a basis that is not the live one under that objective.
+        let mut scaled = model.clone();
+        scaled.set_objective(model.expr(model.objective().iter().map(|&(v, c)| (v, 2.0 * c))));
+        let (kept, _) = ctx.set_objective(&scaled);
+        assert!(kept, "scaling the costs keeps the basis dual feasible");
+        assert_ne!(basis.cols, root_basis.cols);
+        assert_reused_install_matches_fresh(&mut ctx, &scaled, &sibling, &root_basis, "repriced");
     }
 
     /// Ring cover: every element covered by two adjacent sets — small

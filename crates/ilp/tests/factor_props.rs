@@ -292,16 +292,29 @@ fn forrest_tomlin_tracks_dense_on_degenerate_and_near_singular_sequences() {
     assert!(total_pivots > 120, "too few pivots overall: {total_pivots}");
 }
 
+/// System size for kernel-agreement seed `seed`: mostly small systems,
+/// where a reach covers a large share of the slots, and every fourth one
+/// large, where unit right-hand sides reach few slots (ordered by a
+/// sort) while dense ones still reach most slots (ordered by a sweep).
+fn kernel_size(rng: &mut SmallRng, seed: u64) -> usize {
+    if seed % 4 == 3 {
+        rng.gen_range(40usize..=120)
+    } else {
+        rng.gen_range(6usize..=14)
+    }
+}
+
 /// The hyper-sparse (DFS reach) and scanning kernels execute the same
 /// scatter arithmetic in the same pivot order, so forcing either via the
 /// density cutover must not change a single result — across pivot
-/// updates, sparse and dense right-hand sides, and refactorisations.
+/// updates, sparse and dense right-hand sides, and refactorisations, and
+/// whether a reach is put into order by a sweep or by a sort.
 #[test]
 fn hyper_sparse_and_scanning_kernels_agree_exactly() {
     let opts = FactorOpts::default();
     for seed in 700..740u64 {
         let mut rng = SmallRng::seed_from_u64(seed);
-        let m = rng.gen_range(6usize..=14);
+        let m = kernel_size(&mut rng, seed);
         let n = rng.gen_range(m..=2 * m);
         let a = random_csc(&mut rng, m, n);
         let mut basis: Vec<usize> = (n..n + m).collect();
@@ -371,14 +384,17 @@ fn hyper_sparse_and_scanning_kernels_agree_exactly() {
 /// **exactly**, the captured pattern must be a sorted duplicate-free
 /// superset of the result's non-zeros, and feeding a captured pattern
 /// into the *next* dependent solve (the reuse the engine performs every
-/// iteration) must again match the oracle exactly.
+/// iteration) must again match the oracle exactly. Large systems give
+/// both small patterns (sorted) and patterns over half the rows or more
+/// (swept).
 #[test]
 fn tracked_kernels_match_scan_kernels_and_chain_patterns() {
     let opts = FactorOpts::default();
     let mut tracked_solves = 0u32;
+    let (mut small, mut large) = (0u32, 0u32);
     for seed in 800..840u64 {
         let mut rng = SmallRng::seed_from_u64(seed);
-        let m = rng.gen_range(6usize..=14);
+        let m = kernel_size(&mut rng, seed);
         let n = rng.gen_range(m..=2 * m);
         let a = random_csc(&mut rng, m, n);
         let mut basis: Vec<usize> = (n..n + m).collect();
@@ -402,6 +418,10 @@ fn tracked_kernels_match_scan_kernels_and_chain_patterns() {
             assert_eq!(x1, x2, "seed {seed} col {q}: tracked ftran");
             if hit {
                 tracked_solves += 1;
+                if m >= 40 {
+                    small += u32::from(result_pat.len() <= 3);
+                    large += u32::from(2 * result_pat.len() >= m);
+                }
                 assert!(
                     result_pat.windows(2).all(|w| w[0] < w[1]),
                     "seed {seed} col {q}: pattern not sorted/deduped"
@@ -422,6 +442,17 @@ fn tracked_kernels_match_scan_kernels_and_chain_patterns() {
                 if rehit {
                     tracked_solves += 1;
                 }
+            }
+            // Dense right-hand side through the tracked kernel.
+            let mut d1: Vec<f64> = (0..m).map(|i| 1.0 + (i % 5) as f64).collect();
+            let mut d2 = d1.clone();
+            let all: Vec<usize> = (0..m).collect();
+            assert!(track.ftran_sparse_tracked(&mut d1, &all, &mut result_pat));
+            scan.ftran(&mut d2);
+            assert_eq!(d1, d2, "seed {seed} col {q}: dense tracked ftran");
+            assert!(result_pat.windows(2).all(|w| w[0] < w[1]));
+            if m >= 40 {
+                large += u32::from(2 * result_pat.len() >= m);
             }
             // Unit BTRAN, tracked vs oracle.
             let mut u1 = vec![0.0; m];
@@ -462,6 +493,128 @@ fn tracked_kernels_match_scan_kernels_and_chain_patterns() {
     assert!(
         tracked_solves > 400,
         "too few tracked solves: {tracked_solves}"
+    );
+    assert!(
+        small > 0 && large > 0,
+        "large systems must give small and large patterns: {small} / {large}"
+    );
+}
+
+/// Border-grown factorisations (cut rows appended in place): the
+/// transposed border transforms write rows the BTRAN reach already
+/// holds, so the tracked BTRAN pattern must be canonicalised — and the
+/// tracked kernels must still match the scanning oracle exactly, on
+/// unit and dense right-hand sides, and after further pivot updates.
+#[test]
+fn tracked_kernels_match_scan_kernels_on_border_grown_bases() {
+    let opts = FactorOpts::default();
+    let mut bordered_btrans = 0u32;
+    for seed in 900..930u64 {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let m = kernel_size(&mut rng, seed);
+        let n = rng.gen_range(m..=2 * m);
+        let a = random_csc(&mut rng, m, n);
+        let mut scan = LuFactors::identity(m);
+        let mut track = LuFactors::identity(m);
+        scan.set_hyper_density_cutoff(0.0);
+        track.set_hyper_density_cutoff(1.0);
+        let Some(mut basis) = (0..50)
+            .map(|_| random_basis(&mut rng, m, n))
+            .find(|b| scan.factorize(b, &a, n))
+        else {
+            continue; // no non-singular draw
+        };
+        assert!(track.factorize(&basis, &a, n));
+        // Append k rows over the basic structural columns. Multipliers
+        // `μ = B⁻ᵀ n` come from one BTRAN per row (by basis position).
+        let k = rng.gen_range(1usize..=3);
+        let mut new_rows = Vec::new();
+        let mut borders = Vec::new();
+        for _ in 0..k {
+            let mut nrow = vec![0.0; m];
+            let mut pat = Vec::new();
+            let mut terms = Vec::new();
+            for (r, &c) in basis.iter().enumerate() {
+                if c < n && rng.gen_bool(0.4) {
+                    let v = f64::from(rng.gen_range(1i32..=3));
+                    nrow[r] = v;
+                    pat.push(r);
+                    terms.push((c, v));
+                }
+            }
+            new_rows.push(terms);
+            scan.btran_sparse(&mut nrow, &pat);
+            borders.push(
+                nrow.iter()
+                    .enumerate()
+                    .filter(|&(_, &v)| v != 0.0)
+                    .map(|(j, &v)| (j, v))
+                    .collect::<Vec<_>>(),
+            );
+        }
+        scan.grow(borders.clone());
+        track.grow(borders);
+        // The new rows' slacks are basic in the new rows; entering
+        // columns carry their coefficients in the new rows too.
+        let m2 = m + k;
+        let a2 = a.append_rows(&new_rows);
+        let mut result_pat = Vec::new();
+        for step in 0..m2 {
+            let r = rng.gen_range(0..m2);
+            let mut u1 = vec![0.0; m2];
+            let mut u2 = vec![0.0; m2];
+            u2[r] = 1.0;
+            if track.btran_unit_tracked(r, &mut u1, &mut result_pat) {
+                bordered_btrans += 1;
+                assert!(
+                    result_pat.windows(2).all(|w| w[0] < w[1]),
+                    "seed {seed} row {r}: btran pattern not sorted/deduped"
+                );
+                for (i, &v) in u1.iter().enumerate() {
+                    assert!(
+                        v == 0.0 || result_pat.binary_search(&i).is_ok(),
+                        "seed {seed} row {r}: non-zero {i} outside btran pattern"
+                    );
+                }
+            }
+            scan.btran(&mut u2);
+            assert_eq!(u1, u2, "seed {seed} step {step}: tracked btran e{r}");
+            let dense: Vec<f64> = (0..m2).map(|i| 1.0 + (i % 4) as f64).collect();
+            let mut x1 = dense.clone();
+            let mut x2 = dense;
+            track.ftran(&mut x1);
+            scan.ftran(&mut x2);
+            assert_eq!(x1, x2, "seed {seed} step {step}: dense ftran");
+            // Pivot a structural column into an original row, composing
+            // Forrest–Tomlin updates against the border.
+            let q = rng.gen_range(0..n);
+            if basis.contains(&q) {
+                continue;
+            }
+            let (rows, _) = a2.col(q);
+            let mut w1 = vec![0.0; m2];
+            a2.axpy_col(&mut w1, 1.0, q);
+            let mut w2 = w1.clone();
+            let mut wpat = Vec::new();
+            track.ftran_sparse_tracked(&mut w1, rows, &mut wpat);
+            scan.ftran(&mut w2);
+            assert_eq!(w1, w2, "seed {seed} step {step}: entering column {q}");
+            let r = rng.gen_range(0..m);
+            if w1[r].abs() < 1e-6 {
+                continue;
+            }
+            let ok1 = scan.update(r, &w2, &opts);
+            let ok2 = track.update(r, &w1, &opts);
+            assert_eq!(ok1, ok2, "seed {seed}: update verdict");
+            if !ok1 {
+                break; // a refactorisation would drop the border
+            }
+            basis[r] = q;
+        }
+    }
+    assert!(
+        bordered_btrans > 200,
+        "too few tracked bordered BTRANs: {bordered_btrans}"
     );
 }
 

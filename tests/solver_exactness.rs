@@ -137,3 +137,55 @@ proptest! {
         prop_assert!((best.objective() - opt as f64).abs() < 1e-6);
     }
 }
+
+/// Tick-identity guard on the paper's area flow: `optimize_area` on the
+/// `scaled_a(16)` network of `NetworkSpec` seed 0xA over the Table II
+/// pool capped at two replicas, with 0.25 det-s. Every solver decision
+/// is metered in deterministic ticks, so a change that only moves wall
+/// time (buffer reuse, sort-free reach ordering) must reproduce these
+/// values exactly; a change that moves them changes ticks and must say
+/// so. At this budget the search still stops early — status `Feasible`,
+/// no finite bound, the warm start as the only incumbent — so a fix of
+/// that early stop re-pins all four.
+#[test]
+fn area_flow_det_time_and_results_are_pinned() {
+    use croxmap::prelude::{
+        generate, optimize_area, ArchitectureSpec, AreaModel, CrossbarPool, NetworkSpec,
+        PipelineConfig,
+    };
+    let network = generate(&NetworkSpec {
+        seed: 0xA,
+        ..NetworkSpec::scaled_a(16)
+    });
+    let pool = CrossbarPool::for_network_capped(
+        &ArchitectureSpec::table_ii_heterogeneous(),
+        &AreaModel::memristor_count(),
+        network.node_count(),
+        2,
+    );
+    let run = optimize_area(&network, &pool, &PipelineConfig::with_budget(0.25));
+    let objectives: Vec<u64> = run
+        .incumbents
+        .iter()
+        .map(|t| t.objective.to_bits())
+        .collect();
+    assert_eq!(
+        run.det_time.to_bits(),
+        0.006_541_69_f64.to_bits(),
+        "det_time {}",
+        run.det_time
+    );
+    assert_eq!(run.status, SolveStatus::Feasible);
+    assert_eq!(
+        run.best_bound.to_bits(),
+        f64::NEG_INFINITY.to_bits(),
+        "best_bound {}",
+        run.best_bound
+    );
+    assert_eq!(
+        objectives,
+        [96.0f64.to_bits()],
+        "incumbents {:?}",
+        run.incumbents.len()
+    );
+}
