@@ -37,13 +37,13 @@
 //!   ([`FactorOpts::eta_fill_factor`] × the LU fill).
 //! * **Solves** are **hyper-sparse**: when the right-hand side is sparse
 //!   enough (see the density cutover below), the solver first computes
-//!   the *reach* of the RHS pattern — a DFS over the triangular factor's
-//!   dependency graph — puts it into pivot order, and then runs the
-//!   scatter-form solve over exactly those columns, so work is
+//!   the *reach* of the RHS pattern — a graph search over the triangular
+//!   factor's dependency graph — puts it into pivot order, and then runs
+//!   the scatter-form solve over exactly those columns, so work is
 //!   proportional to the non-zeros actually touched rather than to `m`.
-//!   The DFS marks exactly the reach, so a small reach is ordered by a
-//!   sort and a large one by one sweep over the marks in pivot order,
-//!   whichever is cheaper for its size; both give the same order. Dense
+//!   The search records the reach in a [`BitSet`] keyed by slot or
+//!   pivotal position, which drains it in pivot order in
+//!   `O(reach + m/64)` with no comparison sort. Dense
 //!   right-hand sides cut over to the scanning kernels, which sweep
 //!   every elimination step and skip zero multipliers. Both kernels
 //!   execute bit-identical arithmetic (same scatter operations in the
@@ -58,15 +58,16 @@
 //!
 //! Callers that know a solve's right-hand-side pattern ahead of time use
 //! the `*_sparse` entry points; the `*_tracked` variants additionally
-//! return the **result** pattern discovered by the DFS reach (ascending,
-//! by the same sweep-or-sort choice), so consecutive solves can thread
-//! patterns (FTRAN result → update → next FTRAN seed) without ever
-//! scanning a dense vector.
+//! return the **result** pattern discovered by the reach (ascending,
+//! drained from the same bit set), so consecutive solves can thread
+//! patterns (FTRAN result → [`update_sparse`](LuFactors::update_sparse)
+//! → next FTRAN seed) without ever scanning a dense vector.
 //!
 //! [`DenseInverse`], the explicit dense `m × m` basis inverse, is the
 //! reference the property tests check LU solves and updates against; no
 //! engine runs on it.
 
+use crate::bitset::BitSet;
 use crate::sparse::CscMatrix;
 
 /// Magnitude below which a pivot candidate counts as numerically zero.
@@ -75,7 +76,7 @@ const PIVOT_TOL: f64 = crate::tol::PIVOT;
 /// eligible magnitude may be preferred for sparsity.
 const PIVOT_THRESHOLD: f64 = 0.1;
 /// Default RHS density (pattern non-zeros / m) above which the
-/// hyper-sparse kernels cut over to the scanning kernels. DFS reach
+/// hyper-sparse kernels cut over to the scanning kernels. Reach
 /// computation only pays off when the solution stays sparse, which an
 /// already-dense right-hand side rules out.
 const HYPER_DENSITY_CUTOFF: f64 = 0.125;
@@ -84,30 +85,6 @@ const HYPER_DENSITY_CUTOFF: f64 = 0.125;
 /// pivot columns are examined (in ascending active count) before the
 /// best Markowitz merit seen so far is accepted.
 const MARKOWITZ_CANDIDATES: usize = 4;
-
-/// Whether one sweep over all `n` slots (or columns) puts a marked set
-/// of `r` of them into order faster than a comparison sort: the sort
-/// costs about `r·log₂ r` comparisons of `comparison_cost` sweep steps
-/// each, the sweep one mark test per slot. Both give the same order, so
-/// the choice moves wall time only — never a result or a tick.
-pub(crate) fn sweep_beats_sort(r: usize, n: usize, comparison_cost: f64) -> bool {
-    let comparisons = r * (usize::BITS - r.leading_zeros()) as usize;
-    comparison_cost * comparisons as f64 >= n as f64
-}
-
-// Comparison costs in sweep steps, fitted to the break-even reach sizes
-// measured on the area and SNU/PGO flows of `perfbench` (2-vCPU x86-64).
-/// Sorting slots by value against a sweep over the slots (the `L` and
-/// `Lᵀ` reaches): break-even at `r·log₂ r ≈ n`.
-const SLOT_COMPARISON: f64 = 1.0;
-/// Sorting slots by pivotal position, a key lookup per operand, against
-/// a sweep over `order` (the `U` and `Uᵀ` reaches): break-even at
-/// `r·log₂ r ≈ n/3`.
-const POSITION_COMPARISON: f64 = 3.0;
-/// Sorting a result pattern against a sweep through an inverse
-/// permutation (tracked results), or a column pattern against a sweep
-/// over every column (sparse PRICE): break-even at `r·log₂ r ≈ 2n`.
-pub(crate) const PATTERN_COMPARISON: f64 = 0.5;
 
 /// Empties every list of `lists` and sizes it to `len` lists, keeping the
 /// allocations of the lists that stay.
@@ -162,14 +139,14 @@ impl Default for FactorOpts {
 pub struct FactorStats {
     /// FTRAN solves performed.
     pub ftran_solves: u64,
-    /// FTRAN solves served by the hyper-sparse (DFS reach) kernel.
+    /// FTRAN solves served by the hyper-sparse (reach) kernel.
     pub ftran_hyper: u64,
     /// Non-zeros visited across all FTRAN passes (reach nodes + scatter
     /// entries + update-file entries).
     pub ftran_visited: u64,
     /// BTRAN solves performed.
     pub btran_solves: u64,
-    /// BTRAN solves served by the hyper-sparse (DFS reach) kernel.
+    /// BTRAN solves served by the hyper-sparse (reach) kernel.
     pub btran_hyper: u64,
     /// Non-zeros visited across all BTRAN passes.
     pub btran_visited: u64,
@@ -231,15 +208,17 @@ fn debug_check_superset(x: &[f64], pattern: &[usize]) {
     let _ = (x, pattern);
 }
 
-/// One Forrest–Tomlin row transform `R = I − e_t μᵀ`: applied between
-/// the `L` and `U` solves (in slot space), chronologically in FTRAN and
-/// transposed in reverse order in BTRAN.
-#[derive(Debug, Clone)]
+/// Header of one Forrest–Tomlin row transform `R = I − e_t μᵀ`: applied
+/// between the `L` and `U` solves (in slot space), chronologically in
+/// FTRAN and transposed in reverse order in BTRAN.
+#[derive(Debug, Clone, Copy)]
 struct FtTransform {
     /// Slot whose `U` row was eliminated (the update's pivot slot).
     t: usize,
-    /// `(slot, multiplier)` pairs over the trailing slots.
-    entries: Vec<(usize, f64)>,
+    /// Its `(slot, multiplier)` pairs over the trailing slots are
+    /// `ft_entries[start..end]`.
+    start: usize,
+    end: usize,
 }
 
 /// One bordered-growth row transform, recorded when the basis is grown in
@@ -277,6 +256,65 @@ enum Phase {
     /// Backward solve `Lᵀ y = z`: slot `k` feeds the earlier slots of
     /// `l_rows[p[k]]`.
     LowerTBwd,
+}
+
+/// Scratch of one reach traversal in [`LuFactors::compute_reach`].
+struct ReachWalk<'a> {
+    reach: &'a mut Vec<usize>,
+    mark: &'a mut [u32],
+    stamp: u32,
+    bits: &'a mut BitSet,
+}
+
+impl ReachWalk<'_> {
+    /// Mark-and-push traversal: collects every slot reachable from
+    /// `seeds` along `adj` (whose raw indices `child` maps to slots),
+    /// marking each with `stamp` and adding its `key` to `bits`, then
+    /// leaves `reach` holding the keys in ascending order. Returns the
+    /// number of edges examined.
+    #[inline]
+    fn run<'g>(
+        self,
+        seeds: &[usize],
+        adj: impl Fn(usize) -> &'g [(usize, f64)],
+        child: impl Fn(usize) -> usize,
+        key: impl Fn(usize) -> usize,
+    ) -> u64 {
+        let ReachWalk {
+            reach,
+            mark,
+            stamp,
+            bits,
+        } = self;
+        debug_assert!(bits.is_empty(), "bit set left dirty");
+        // `reach` doubles as the work list.
+        reach.clear();
+        for &s in seeds {
+            if mark[s] != stamp {
+                mark[s] = stamp;
+                bits.insert(key(s));
+                reach.push(s);
+            }
+        }
+        let mut edges = 0u64;
+        let mut next = 0;
+        while let Some(&k) = reach.get(next) {
+            next += 1;
+            let succ = adj(k);
+            edges += succ.len() as u64;
+            for &(raw, _) in succ {
+                let c = child(raw);
+                if mark[c] != stamp {
+                    mark[c] = stamp;
+                    bits.insert(key(c));
+                    reach.push(c);
+                }
+            }
+        }
+        reach.clear();
+        bits.drain_into(reach);
+        edges
+    }
 }
 
 /// Working matrix of one [`LuFactors::eliminate`] run. Every field is
@@ -342,6 +380,9 @@ pub struct LuFactors {
     /// Forrest–Tomlin row transforms since the last refactorisation,
     /// applied between the `L` and `U` solves.
     ft: Vec<FtTransform>,
+    /// The multipliers of every transform in `ft`, back to back. Cleared
+    /// (keeping its allocation) at refactorisation.
+    ft_entries: Vec<(usize, f64)>,
     /// Bordered-growth transforms since the last refactorisation, in
     /// growth order; applied ahead of everything in FTRAN (newest first)
     /// and after everything in BTRAN (oldest first). See [`Border`].
@@ -368,15 +409,18 @@ pub struct LuFactors {
     /// Scratch pattern buffers (row/position and slot space).
     pat: Vec<usize>,
     pat2: Vec<usize>,
-    /// DFS reach output: postorder, then put into the order its solve
-    /// phase runs in (see [`order_reach_by_slot`](Self::order_reach_by_slot)).
+    /// Reach of the last [`compute_reach`](Self::compute_reach), in the
+    /// order its solve phase runs in.
     reach: Vec<usize>,
-    /// DFS stack of `(slot, next child index)`.
-    rstack: Vec<(usize, usize)>,
-    /// Visit stamps for the DFS and pattern tracking. After a reach, the
-    /// slots marked with the current stamp are exactly the reach.
+    /// Visit stamps for the reach traversal and pattern tracking. After
+    /// a reach, the slots marked with the current stamp are exactly the
+    /// reach.
     mark: Vec<u32>,
     stamp: u32,
+    /// Puts every sparse pattern into ascending order: reaches (by slot
+    /// or pivotal position), tracked result patterns, the spike's slots
+    /// and the trailing positions of an update. Empty between uses.
+    bits: BitSet,
     /// Working matrix of [`eliminate`](Self::eliminate), kept between
     /// refactorisations for its allocations.
     elim: ElimScratch,
@@ -405,6 +449,7 @@ impl LuFactors {
             u_rows: Vec::new(),
             u_diag: Vec::new(),
             ft: Vec::new(),
+            ft_entries: Vec::new(),
             border: Vec::new(),
             lu_nnz: 0,
             u_nnz: 0,
@@ -417,9 +462,9 @@ impl LuFactors {
             pat: Vec::new(),
             pat2: Vec::new(),
             reach: Vec::new(),
-            rstack: Vec::new(),
             mark: Vec::new(),
             stamp: 0,
+            bits: BitSet::default(),
             elim: ElimScratch::default(),
             work: 0,
             stats: FactorStats::default(),
@@ -439,6 +484,7 @@ impl LuFactors {
         refill(&mut self.aux, m, 0.0);
         refill(&mut self.mark, m, 0);
         self.stamp = 0;
+        self.bits.reset(m);
         self.work = 0;
         self.stats = FactorStats::default();
         self.reset_identity();
@@ -464,6 +510,7 @@ impl LuFactors {
         clear_lists(&mut self.u_rows, m);
         refill(&mut self.u_diag, m, 1.0);
         self.ft.clear();
+        self.ft_entries.clear();
         self.border.clear();
         self.lu_nnz = m;
         self.u_nnz = m;
@@ -511,6 +558,7 @@ impl LuFactors {
         self.scratch.resize(m, 0.0);
         self.aux.resize(m, 0.0);
         self.mark.resize(m, 0);
+        self.bits.grow(m);
         self.lu_nnz += k;
         self.u_nnz += k;
         self.u_nnz0 += k;
@@ -564,9 +612,9 @@ impl LuFactors {
     }
 
     /// Applies the transposed bordered-growth transforms to a BTRAN
-    /// result (row space), oldest growth first. Rows they write are
-    /// pushed onto `pattern` when given (possibly more than once).
-    fn apply_border_btran(&mut self, x: &mut [f64], mut pattern: Option<&mut Vec<usize>>) {
+    /// result (row space), oldest growth first. With `track`, the rows
+    /// they write are added to `self.bits`.
+    fn apply_border_btran(&mut self, x: &mut [f64], track: bool) {
         if self.border.is_empty() {
             return;
         }
@@ -579,8 +627,10 @@ impl LuFactors {
             for &(j, mu) in &b.entries {
                 x[j] -= mu * v;
             }
-            if let Some(pattern) = pattern.as_deref_mut() {
-                pattern.extend(b.entries.iter().map(|&(j, _)| j));
+            if track {
+                for &(j, _) in &b.entries {
+                    self.bits.insert(j);
+                }
             }
             visited += b.entries.len() as u64;
         }
@@ -653,6 +703,7 @@ impl LuFactors {
     fn factorize_reset(&mut self) {
         let m = self.m;
         self.ft.clear();
+        self.ft_entries.clear();
         self.border.clear();
         self.file_nnz = 0;
         self.updates = 0;
@@ -948,9 +999,12 @@ impl LuFactors {
         true
     }
 
-    /// Computes the reach of the pattern in `self.pat2` (slot space) over
-    /// the dependency graph of `phase`, into `self.reach` (unsorted
-    /// postorder). Returns the number of edges examined, for metering.
+    /// Computes the reach of the pattern in `self.pat2` (slot space)
+    /// over the dependency graph of `phase` into `self.reach`, in the
+    /// order the phase's solve runs in: ascending slots for the `L` and
+    /// `Lᵀ` solves, ascending pivotal position for the `U` and `Uᵀ`
+    /// solves. Returns the number of edges examined, for metering: each
+    /// reached slot's edges are examined exactly once.
     fn compute_reach(&mut self, phase: Phase) -> u64 {
         self.stamp = self.stamp.wrapping_add(1);
         if self.stamp == 0 {
@@ -960,121 +1014,38 @@ impl LuFactors {
         let LuFactors {
             p,
             pinv,
+            order,
+            pos,
             l_cols,
             l_rows,
             u_cols,
             u_rows,
             pat2,
             reach,
-            rstack,
             mark,
             stamp,
+            bits,
             ..
         } = self;
-        let stamp = *stamp;
-        reach.clear();
-        let mut edges = 0u64;
-        for &s in pat2.iter() {
-            if mark[s] == stamp {
-                continue;
-            }
-            mark[s] = stamp;
-            rstack.push((s, 0));
-            while let Some(&mut (node, ref mut ci)) = rstack.last_mut() {
-                // Find the next unvisited successor of `node`.
-                let next = {
-                    let adj: &[(usize, f64)] = match phase {
-                        Phase::LowerFwd => &l_cols[node],
-                        Phase::UpperBwd => &u_cols[node],
-                        Phase::UpperTFwd => &u_rows[node],
-                        Phase::LowerTBwd => &l_rows[p[node]],
-                    };
-                    let mut found = None;
-                    while *ci < adj.len() {
-                        let raw = adj[*ci].0;
-                        *ci += 1;
-                        edges += 1;
-                        let child = match phase {
-                            Phase::LowerFwd => pinv[raw],
-                            _ => raw,
-                        };
-                        if mark[child] != stamp {
-                            found = Some(child);
-                            break;
-                        }
-                    }
-                    found
-                };
-                match next {
-                    Some(c) => {
-                        mark[c] = stamp;
-                        rstack.push((c, 0));
-                    }
-                    None => {
-                        rstack.pop();
-                        reach.push(node);
-                    }
-                }
+        let walk = ReachWalk {
+            reach,
+            mark,
+            stamp: *stamp,
+            bits,
+        };
+        let edges = match phase {
+            Phase::LowerFwd => walk.run(pat2, |k| &l_cols[k], |row| pinv[row], |k| k),
+            Phase::UpperBwd => walk.run(pat2, |k| &u_cols[k], |k| k, |k| pos[k]),
+            Phase::UpperTFwd => walk.run(pat2, |k| &u_rows[k], |k| k, |k| pos[k]),
+            Phase::LowerTBwd => walk.run(pat2, |k| &l_rows[p[k]], |k| k, |k| k),
+        };
+        if matches!(phase, Phase::UpperBwd | Phase::UpperTFwd) {
+            // Pivotal positions back to slots.
+            for k in reach.iter_mut() {
+                *k = order[*k];
             }
         }
         edges
-    }
-
-    /// Puts `self.reach` into ascending slot order (the `L` and `Lᵀ`
-    /// solves). Right after [`compute_reach`](Self::compute_reach) the
-    /// slots marked with the current stamp are exactly the reach, so a
-    /// sweep over the slots yields the same order a sort does.
-    fn order_reach_by_slot(&mut self) {
-        let LuFactors {
-            m,
-            reach,
-            mark,
-            stamp,
-            ..
-        } = self;
-        if sweep_beats_sort(reach.len(), *m, SLOT_COMPARISON) {
-            reach.clear();
-            reach.extend((0..*m).filter(|&k| mark[k] == *stamp));
-        } else {
-            reach.sort_unstable();
-        }
-    }
-
-    /// Puts `self.reach` into ascending pivotal position (the `U` and
-    /// `Uᵀ` solves), by a sweep over `order` or a sort; see
-    /// [`order_reach_by_slot`](Self::order_reach_by_slot).
-    fn order_reach_by_position(&mut self) {
-        let LuFactors {
-            m,
-            order,
-            pos,
-            reach,
-            mark,
-            stamp,
-            ..
-        } = self;
-        if sweep_beats_sort(reach.len(), *m, POSITION_COMPARISON) {
-            reach.clear();
-            reach.extend(order.iter().copied().filter(|&k| mark[k] == *stamp));
-        } else {
-            reach.sort_unstable_by_key(|&k| pos[k]);
-        }
-    }
-
-    /// Writes the ascending result pattern of the hyper solve that just
-    /// ran into `result`: the image of its last reach under `map`, the
-    /// slot-to-index permutation of the result space (`q` for FTRAN's
-    /// basis positions, `p` for BTRAN's rows), whose inverse is `inv`.
-    /// The reach's marks are still current, so a sweep over the result
-    /// space through `inv` gives the same order as sorting the image.
-    fn reach_pattern(&self, map: &[usize], inv: &[usize], result: &mut Vec<usize>) {
-        result.clear();
-        if sweep_beats_sort(self.reach.len(), self.m, PATTERN_COMPARISON) {
-            result.extend((0..self.m).filter(|&i| self.mark[inv[i]] == self.stamp));
-        } else {
-            result.extend(self.reach.iter().map(|&k| map[k]));
-            result.sort_unstable();
-        }
     }
 
     /// FTRAN: overwrites `x` (indexed by constraint row) with `B⁻¹ x`
@@ -1137,7 +1108,7 @@ impl LuFactors {
     /// the **result's** non-zero pattern (basis positions, a superset,
     /// sorted and duplicate-free) into `result` — the
     /// solve-pattern-threading primitive: the caller seeds the next
-    /// dependent solve's DFS from it instead of scanning the dense
+    /// dependent solve's reach from it instead of scanning the dense
     /// vector. Returns `false` when the solve ran on the scanning
     /// kernel (dense RHS), in which case `result` is left empty and the
     /// result must be treated as dense.
@@ -1161,10 +1132,13 @@ impl LuFactors {
         debug_check_superset(x, &self.pat);
         self.ftran_hyper(x);
         // The result lives on the `U` reach, one basis position per
-        // slot, so the pattern is duplicate-free; ascending order keeps
-        // the consumers' pattern-indexed arithmetic independent of the
-        // DFS.
-        self.reach_pattern(&self.q, &self.qinv, result);
+        // slot; ascending order keeps the consumers' pattern-indexed
+        // arithmetic independent of the traversal.
+        let LuFactors { q, reach, bits, .. } = self;
+        for &k in reach.iter() {
+            bits.insert(q[k]);
+        }
+        bits.drain_into(result);
         true
     }
 
@@ -1180,21 +1154,21 @@ impl LuFactors {
         x[r] = 1.0;
         if self.hyper_cap() < 1 {
             self.btran_scan(x);
-            self.apply_border_btran(x, None);
+            self.apply_border_btran(x, false);
             return false;
         }
         self.pat.clear();
         self.pat.push(r);
         self.btran_hyper(x);
-        self.reach_pattern(&self.p, &self.pinv, result);
-        if !self.border.is_empty() {
-            // Border targets can repeat rows of the reach and of each
-            // other; consumers apply pattern-indexed updates exactly once
-            // per row, so canonicalise (sorted and duplicate-free).
-            self.apply_border_btran(x, Some(result));
-            result.sort_unstable();
-            result.dedup();
+        let LuFactors { p, reach, bits, .. } = self;
+        for &k in reach.iter() {
+            bits.insert(p[k]);
         }
+        // Border targets can repeat rows of the reach and of each other;
+        // the set keeps one of each, as consumers apply pattern-indexed
+        // updates exactly once per row.
+        self.apply_border_btran(x, true);
+        self.bits.drain_into(result);
         true
     }
 
@@ -1212,6 +1186,7 @@ impl LuFactors {
             u_cols,
             u_diag,
             ft,
+            ft_entries,
             scratch: z,
             ..
         } = self;
@@ -1233,14 +1208,15 @@ impl LuFactors {
         }
         // Forrest–Tomlin row transforms, chronologically.
         for tr in ft.iter() {
+            let entries = &ft_entries[tr.start..tr.end];
             let mut dot = 0.0;
-            for &(c, mu) in &tr.entries {
+            for &(c, mu) in entries {
                 dot += mu * z[c];
             }
             if dot != 0.0 {
                 z[tr.t] -= dot;
             }
-            visited += tr.entries.len() as u64;
+            visited += entries.len() as u64;
         }
         // Backward solve U z = y in pivotal order.
         for j in (0..m).rev() {
@@ -1270,10 +1246,9 @@ impl LuFactors {
 
     /// Hyper-sparse FTRAN kernel over the reach of `self.pat` (row
     /// indices). Executes the same scatter operations as the scanning
-    /// kernel, in the same pivot order, visiting only reached slots:
-    /// each reach is ordered by a mark sweep or a sort
-    /// ([`order_reach_by_slot`](Self::order_reach_by_slot)), and either
-    /// gives the scanning kernel's order. Leaves the `U` reach in
+    /// kernel, in the same pivot order, visiting only reached slots
+    /// (each reach comes out of [`compute_reach`](Self::compute_reach)
+    /// in the scanning kernel's order). Leaves the `U` reach in
     /// `self.reach`, its marks current.
     fn ftran_hyper(&mut self, x: &mut [f64]) {
         // Pattern rows → starting slots of the L reach.
@@ -1285,7 +1260,6 @@ impl LuFactors {
             pat2.push(pinv[row]);
         }
         let mut edges = self.compute_reach(Phase::LowerFwd);
-        self.order_reach_by_slot();
         let mut visited = 0u64;
         {
             let LuFactors {
@@ -1297,6 +1271,7 @@ impl LuFactors {
                 mark,
                 stamp,
                 ft,
+                ft_entries,
                 ..
             } = self;
             // Forward solve L y = x over the reach, ascending slots.
@@ -1330,8 +1305,9 @@ impl LuFactors {
             // Forrest–Tomlin row transforms, chronologically; targets may
             // extend the pattern.
             for tr in ft.iter() {
+                let entries = &ft_entries[tr.start..tr.end];
                 let mut dot = 0.0;
-                for &(c, mu) in &tr.entries {
+                for &(c, mu) in entries {
                     dot += mu * z[c];
                 }
                 if dot != 0.0 {
@@ -1341,12 +1317,11 @@ impl LuFactors {
                         pat2.push(tr.t);
                     }
                 }
-                visited += tr.entries.len() as u64;
+                visited += entries.len() as u64;
             }
         }
         // Backward solve U z = y over the reach, descending pivotal order.
         edges += self.compute_reach(Phase::UpperBwd);
-        self.order_reach_by_position();
         let LuFactors {
             q,
             u_cols,
@@ -1401,7 +1376,7 @@ impl LuFactors {
         } else {
             self.btran_scan(x);
         }
-        self.apply_border_btran(x, None);
+        self.apply_border_btran(x, false);
     }
 
     /// BTRAN with a caller-supplied non-zero pattern: `pattern` must be a
@@ -1416,7 +1391,7 @@ impl LuFactors {
         } else {
             self.btran_scan(x);
         }
-        self.apply_border_btran(x, None);
+        self.apply_border_btran(x, false);
     }
 
     /// Scanning BTRAN kernel: sweeps every slot in scatter form, skipping
@@ -1432,6 +1407,7 @@ impl LuFactors {
             u_rows,
             u_diag,
             ft,
+            ft_entries,
             scratch: z,
             ..
         } = self;
@@ -1460,10 +1436,11 @@ impl LuFactors {
             if zt == 0.0 {
                 continue;
             }
-            for &(c, mu) in &tr.entries {
+            let entries = &ft_entries[tr.start..tr.end];
+            for &(c, mu) in entries {
                 z[c] -= mu * zt;
             }
-            visited += tr.entries.len() as u64;
+            visited += entries.len() as u64;
         }
         // Backward solve Lᵀ y = z in scatter form; every original row is
         // written exactly once and the scratch is left zeroed.
@@ -1486,8 +1463,8 @@ impl LuFactors {
 
     /// Hyper-sparse BTRAN kernel over the reach of `self.pat` (basis
     /// positions). Same scatter operations as the scanning kernel, same
-    /// pivot order, only reached slots visited; reaches are ordered as
-    /// in [`ftran_hyper`](Self::ftran_hyper). Leaves the `Lᵀ` reach in
+    /// pivot order, only reached slots visited, as in
+    /// [`ftran_hyper`](Self::ftran_hyper). Leaves the `Lᵀ` reach in
     /// `self.reach`, its marks current.
     fn btran_hyper(&mut self, x: &mut [f64]) {
         let mut visited = 0u64;
@@ -1520,12 +1497,12 @@ impl LuFactors {
             }
         }
         let mut edges = self.compute_reach(Phase::UpperTFwd);
-        self.order_reach_by_position();
         {
             let LuFactors {
                 u_rows,
                 u_diag,
                 ft,
+                ft_entries,
                 reach,
                 pat2,
                 scratch: z,
@@ -1565,18 +1542,18 @@ impl LuFactors {
                 if zt == 0.0 {
                     continue;
                 }
-                for &(c, mu) in &tr.entries {
+                let entries = &ft_entries[tr.start..tr.end];
+                for &(c, mu) in entries {
                     z[c] -= mu * zt;
                     if mark[c] != *stamp {
                         mark[c] = *stamp;
                         pat2.push(c);
                     }
                 }
-                visited += tr.entries.len() as u64;
+                visited += entries.len() as u64;
             }
         }
         edges += self.compute_reach(Phase::LowerTBwd);
-        self.order_reach_by_slot();
         let LuFactors {
             p,
             l_rows,
@@ -1611,10 +1588,38 @@ impl LuFactors {
     /// `false` when the updated diagonal would be numerically degenerate
     /// — the caller must then refactorise from the (already updated)
     /// basis columns instead. `opts` only feeds the growth statistics.
+    /// Scans `w` for its non-zero pattern; prefer
+    /// [`update_sparse`](Self::update_sparse) when the caller knows it.
     pub fn update(&mut self, r: usize, w: &[f64], opts: &FactorOpts) -> bool {
+        self.update_with(r, w, None, opts)
+    }
+
+    /// [`update`](Self::update) with a caller-supplied pattern: `pattern`
+    /// must be a superset of the non-zero basis positions of `w`, such as
+    /// the result pattern of the
+    /// [`ftran_sparse_tracked`](Self::ftran_sparse_tracked) that computed
+    /// `w`. Skips the `O(m)` scan of `w`; the factors, the work charged
+    /// and the statistics are exactly those of [`update`](Self::update).
+    pub fn update_sparse(
+        &mut self,
+        r: usize,
+        w: &[f64],
+        pattern: &[usize],
+        opts: &FactorOpts,
+    ) -> bool {
+        self.update_with(r, w, Some(pattern), opts)
+    }
+
+    fn update_with(
+        &mut self,
+        r: usize,
+        w: &[f64],
+        pattern: Option<&[usize]>,
+        opts: &FactorOpts,
+    ) -> bool {
         debug_assert_eq!(w.len(), self.m);
         debug_assert!(w[r] != 0.0, "pivot element must be non-zero");
-        let ok = self.update_forrest_tomlin(r, w);
+        let ok = self.update_forrest_tomlin(r, w, pattern);
         if ok {
             self.updates += 1;
             self.stats.updates += 1;
@@ -1637,25 +1642,44 @@ impl LuFactors {
     /// end of the pivotal order, and eliminate the out-of-place `U` row
     /// with a recorded row transform.
     ///
-    /// Cost per pivot is `O(m + reach + fill)`: the *floating-point*
-    /// work (spike accumulation, μ elimination, structure edits) is
-    /// reach/fill-bounded, but three pointer-light `Θ(m)` sweeps remain
-    /// — the scan of `w` for the spike pattern, the zero-skipping walk
-    /// of the trailing pivotal positions, and the cyclic order shift.
-    /// What matters for the solve-cost story is that *FTRAN/BTRAN* stay
-    /// flat; the update itself is charged for what it touches.
+    /// The *floating-point* work (spike accumulation, μ elimination,
+    /// structure edits) is reach/fill-bounded and charged for what it
+    /// touches. Both index walks go through `self.bits` in `O(m/64)`
+    /// words: the spike's slots (given `pattern`, the non-zero positions
+    /// of `w`) and the trailing pivotal positions that carry μ. One
+    /// pointer-light `Θ(m)` sweep remains, the cyclic order shift — plus
+    /// the scan of `w` for its pattern when the caller has none. What
+    /// matters for the solve-cost story is that *FTRAN/BTRAN* stay flat.
     ///
     /// Returns `false` (leaving the factors untouched) when the new
     /// diagonal is numerically degenerate.
-    fn update_forrest_tomlin(&mut self, r: usize, w: &[f64]) -> bool {
+    fn update_forrest_tomlin(&mut self, r: usize, w: &[f64], pattern: Option<&[usize]>) -> bool {
         let m = self.m;
         let t = self.qinv[r];
         let mut ops = 0u64;
 
         // --- Spike v = L̃⁻¹ a_q = U ẑ, where ẑ is `w` mapped to slot
         // space (w = B⁻¹ a_q = U⁻¹ L̃⁻¹ a_q). Computed as a sparse
-        // combination of U's columns so the engine need not save the
-        // FTRAN intermediate. Scratch `aux` holds the spike. ---
+        // combination of U's columns, in ascending slot order, so the
+        // engine need not save the FTRAN intermediate. Scratch `aux`
+        // holds the spike, `pat` the non-zero slots of ẑ. ---
+        {
+            let LuFactors {
+                q, qinv, pat, bits, ..
+            } = self;
+            pat.clear();
+            match pattern {
+                Some(pattern) => {
+                    for &posn in pattern {
+                        if w[posn] != 0.0 {
+                            bits.insert(qinv[posn]);
+                        }
+                    }
+                    bits.drain_into(pat);
+                }
+                None => pat.extend((0..m).filter(|&k| w[q[k]] != 0.0)),
+            }
+        }
         self.pat2.clear();
         {
             let LuFactors {
@@ -1663,6 +1687,7 @@ impl LuFactors {
                 u_cols,
                 u_diag,
                 aux,
+                pat,
                 pat2,
                 mark,
                 stamp,
@@ -1679,11 +1704,8 @@ impl LuFactors {
                     pat2.push(i);
                 }
             };
-            for k in 0..m {
+            for &k in pat.iter() {
                 let zv = w[q[k]];
-                if zv == 0.0 {
-                    continue;
-                }
                 mark_spike(k, pat2);
                 aux[k] += u_diag[k] * zv;
                 for &(i, val) in &u_cols[k] {
@@ -1696,30 +1718,30 @@ impl LuFactors {
 
         // --- Row elimination multipliers: solve Ūᵀ μ = u_tᵀ over the
         // trailing principal submatrix (slots after `t` in pivotal
-        // order), forward in pivotal order, scatter form. The reach of
-        // u_t's pattern bounds the non-zero μ's; a zero-skipping sweep of
-        // the trailing positions visits exactly those slots. ---
-        let mut mu: Vec<(usize, f64)> = Vec::new();
-        {
-            // Scatter row t of U into scratch (slot space).
-            let LuFactors {
-                u_rows, scratch: z, ..
-            } = self;
-            for &(k, val) in &u_rows[t] {
-                z[k] = val;
-            }
-            ops += u_rows[t].len() as u64;
-        }
-        let pos_t = self.pos[t];
+        // order), forward in pivotal order, scatter form, appending μ to
+        // the update file. Row t of U and every row it reaches only
+        // touch later positions, so popping the smallest pending position
+        // from `bits` visits exactly the non-zero μ's in pivotal order. ---
+        let start = self.ft_entries.len();
         {
             let LuFactors {
                 order,
+                pos,
                 u_rows,
                 u_diag,
+                ft_entries,
+                bits,
                 scratch: z,
                 ..
             } = self;
-            for j in pos_t + 1..m {
+            // Scatter row t of U into scratch (slot space).
+            for &(k, val) in &u_rows[t] {
+                z[k] = val;
+                bits.insert(pos[k]);
+            }
+            ops += u_rows[t].len() as u64;
+            let mut word = 0;
+            while let Some(j) = bits.pop_from(&mut word) {
                 let c = order[j];
                 let v = z[c];
                 if v == 0.0 {
@@ -1727,13 +1749,16 @@ impl LuFactors {
                 }
                 z[c] = 0.0;
                 let mc = v / u_diag[c];
-                mu.push((c, mc));
+                ft_entries.push((c, mc));
                 for &(k, val) in &u_rows[c] {
+                    debug_assert!(pos[k] > j, "U row entry before its pivot");
                     z[k] -= val * mc;
+                    bits.insert(pos[k]);
                 }
                 ops += u_rows[c].len() as u64;
             }
         }
+        let mu = start..self.ft_entries.len();
 
         // --- New diagonal d = v[t] − μᵀ v; reject degenerate pivots
         // before any structural mutation so a failed update leaves the
@@ -1746,22 +1771,25 @@ impl LuFactors {
                 spike_max = a;
             }
         }
-        for &(c, mc) in &mu {
+        for &(c, mc) in &self.ft_entries[mu.clone()] {
             d -= mc * self.aux[c];
         }
         ops += mu.len() as u64;
         if d.abs() < PIVOT_TOL * (1.0 + spike_max) {
-            // Clean the scratches and bail; `aux` holds the spike.
+            // Clean the scratches and bail; `aux` holds the spike, and
+            // the update file drops this update's multipliers.
             for &k in &self.pat2 {
                 self.aux[k] = 0.0;
             }
+            self.ft_entries.truncate(start);
             self.work += ops;
             return false;
         }
 
         // --- Commit. Remove the old column t from U (and its row-wise
-        // mirror)... ---
-        let old_col = std::mem::take(&mut self.u_cols[t]);
+        // mirror); the emptied column and row t go back in place, keeping
+        // their allocations for the spike and later updates... ---
+        let mut old_col = std::mem::take(&mut self.u_cols[t]);
         for &(i, _) in &old_col {
             let rowlist = &mut self.u_rows[i];
             if let Some(at) = rowlist.iter().position(|&(k, _)| k == t) {
@@ -1770,8 +1798,10 @@ impl LuFactors {
             ops += rowlist.len() as u64;
         }
         self.u_nnz -= old_col.len();
+        old_col.clear();
+        self.u_cols[t] = old_col;
         // ...remove the eliminated row t from U's columns... ---
-        let old_row = std::mem::take(&mut self.u_rows[t]);
+        let mut old_row = std::mem::take(&mut self.u_rows[t]);
         for &(k, _) in &old_row {
             let collist = &mut self.u_cols[k];
             if let Some(at) = collist.iter().position(|&(i, _)| i == t) {
@@ -1780,6 +1810,8 @@ impl LuFactors {
             ops += collist.len() as u64;
         }
         self.u_nnz -= old_row.len();
+        old_row.clear();
+        self.u_rows[t] = old_row;
         // ...insert the spike as the new column t (all other slots now
         // precede t in pivotal order, so every entry is above the new
         // diagonal)... ---
@@ -1801,6 +1833,7 @@ impl LuFactors {
         // ...move slot t to the end of the pivotal order... ---
         {
             let LuFactors { order, pos, .. } = self;
+            let pos_t = pos[t];
             for j in pos_t + 1..m {
                 let s = order[j];
                 order[j - 1] = s;
@@ -1813,7 +1846,11 @@ impl LuFactors {
         self.file_nnz += mu.len();
         self.stats.update_nnz += mu.len() as u64 + spike_fill as u64;
         if !mu.is_empty() {
-            self.ft.push(FtTransform { t, entries: mu });
+            self.ft.push(FtTransform {
+                t,
+                start: mu.start,
+                end: mu.end,
+            });
         }
         self.work += ops;
         true
@@ -2132,8 +2169,8 @@ mod tests {
 
     /// `m × m` block-diagonal matrix with column-diagonally-dominant
     /// 6-row blocks, so every basis mixing its columns with slacks is
-    /// non-singular: unit right-hand sides reach at most a block (small
-    /// reaches, sorted) while dense ones reach every slot (swept).
+    /// non-singular: unit right-hand sides reach at most a block while
+    /// dense ones reach every slot.
     fn block_csc(m: usize) -> CscMatrix {
         let cols: Vec<Vec<(usize, f64)>> = (0..m)
             .map(|j| {
@@ -2155,11 +2192,9 @@ mod tests {
     /// scanning kernels on unit and dense right-hand sides, asserting
     /// bit-identical results, reaches in the order their phase runs in,
     /// and tracked patterns that are sorted, duplicate-free supersets of
-    /// the result's support. Returns how many final reaches took the
-    /// sort (`[0]`) and the sweep (`[1]`).
-    fn probe_kernels(scan: &mut LuFactors, hyper: &mut LuFactors) -> [usize; 2] {
+    /// the result's support.
+    fn probe_kernels(scan: &mut LuFactors, hyper: &mut LuFactors) {
         let m = scan.m;
-        let mut sides = [0usize; 2];
         let mut pattern = Vec::new();
         let dense: Vec<f64> = (0..m).map(|i| 1.0 + (i % 5) as f64).collect();
         let units = (0..m).map(|r| {
@@ -2182,7 +2217,6 @@ mod tests {
                 want.sort_unstable();
                 assert_eq!(pattern, want, "ftran pattern of {support:?}");
                 assert!((0..m).all(|i| x2[i] == 0.0 || pattern.binary_search(&i).is_ok()));
-                sides[usize::from(sweep_beats_sort(last.len(), m, POSITION_COMPARISON))] += 1;
             }
 
             let mut y1 = rhs.clone();
@@ -2192,7 +2226,6 @@ mod tests {
             assert_eq!(y1, y2, "btran of {support:?}");
             let last = &hyper.reach;
             assert!(last.windows(2).all(|w| w[0] < w[1]));
-            sides[usize::from(sweep_beats_sort(last.len(), m, SLOT_COMPARISON))] += 1;
             if let [r] = support[..] {
                 let mut u = vec![0.0; m];
                 assert!(hyper.btran_unit_tracked(r, &mut u, &mut pattern));
@@ -2201,15 +2234,14 @@ mod tests {
                 assert!((0..m).all(|i| u[i] == 0.0 || pattern.binary_search(&i).is_ok()));
             }
         }
-        sides
+        assert!(hyper.bits.is_empty() && scan.bits.is_empty());
     }
 
-    /// The hyper kernels order each reach by a mark sweep or a sort,
-    /// whichever its size favours; either must reproduce the scanning
-    /// kernels bit for bit — on identity pivot order, after
-    /// Forrest–Tomlin updates (pivot order no longer slot order), and on
-    /// a border-grown factorisation whose tracked BTRAN patterns carry
-    /// duplicates before canonicalisation.
+    /// The hyper kernels order each reach through the bit set and must
+    /// reproduce the scanning kernels bit for bit — on identity pivot
+    /// order, after Forrest–Tomlin updates (pivot order no longer slot
+    /// order), and on a border-grown factorisation whose tracked BTRAN
+    /// patterns meet duplicate border targets.
     #[test]
     fn hyper_and_scanning_kernels_agree_exactly() {
         let a = sample_csc();
@@ -2246,24 +2278,28 @@ mod tests {
         hyper.set_hyper_density_cutoff(1.0);
         assert!(scan.factorize(&basis, &a, m));
         assert!(hyper.factorize(&basis, &a, m));
-        let mut sides = probe_kernels(&mut scan, &mut hyper);
-        // Pivot the missing structural columns in over their slacks.
+        probe_kernels(&mut scan, &mut hyper);
+        // Pivot the missing structural columns in over their slacks; the
+        // hyper side seeds each spike from its tracked FTRAN pattern.
         let opts = FactorOpts::default();
+        let mut wpat = Vec::new();
         for j in (2..m).step_by(9) {
             let mut w1 = vec![0.0; m];
             a.axpy_col(&mut w1, 1.0, j);
             let mut w2 = w1.clone();
             scan.ftran(&mut w1);
-            hyper.ftran(&mut w2);
+            let support: Vec<usize> = (0..m).filter(|&i| w2[i] != 0.0).collect();
+            assert!(hyper.ftran_sparse_tracked(&mut w2, &support, &mut wpat));
             assert_eq!(w1, w2);
             basis[j] = j;
             assert!(scan.update(j, &w1, &opts));
-            assert!(hyper.update(j, &w2, &opts));
+            assert!(hyper.update_sparse(j, &w2, &wpat, &opts));
+            assert_eq!(scan.u_diag, hyper.u_diag);
+            assert_eq!(scan.u_cols, hyper.u_cols);
+            assert_eq!(scan.ft_entries, hyper.ft_entries);
         }
         assert!(hyper.order.iter().enumerate().any(|(j, &k)| j != k));
-        for (side, n) in sides.iter_mut().zip(probe_kernels(&mut scan, &mut hyper)) {
-            *side += n;
-        }
+        probe_kernels(&mut scan, &mut hyper);
         // Grow by two rows over several basic columns each.
         let rows: Vec<Vec<(usize, f64)>> = vec![
             (0..m).step_by(5).map(|j| (j, 1.0)).collect(),
@@ -2273,10 +2309,7 @@ mod tests {
         assert!(borders.iter().all(|b| b.len() > 1));
         scan.grow(borders.clone());
         hyper.grow(borders);
-        for (side, n) in sides.iter_mut().zip(probe_kernels(&mut scan, &mut hyper)) {
-            *side += n;
-        }
-        assert!(sides[0] > 0 && sides[1] > 0, "reach sides {sides:?}");
+        probe_kernels(&mut scan, &mut hyper);
     }
 
     /// Multipliers `μ_i = B⁻ᵀ n_i` for appending `rows` (structural

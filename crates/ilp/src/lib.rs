@@ -277,6 +277,7 @@
 
 pub mod backend;
 pub mod basis;
+mod bitset;
 mod clock;
 pub mod cuts;
 mod expr;

@@ -30,7 +30,7 @@
 //! support** against a CSR companion view of the matrix (sparse PRICE)
 //! instead of a dense sweep over all columns, and the β/weight/reduced-
 //! cost updates and scratch re-zeroing all walk those patterns. One
-//! solve's result pattern seeds the next dependent solve's DFS (the DSE
+//! solve's result pattern seeds the next dependent solve's reach (the DSE
 //! FTRAN reuses the BTRAN's pattern directly).
 //!
 //! The engine always starts **dual feasible** and drives out primal
@@ -60,8 +60,9 @@
 //! tableau ([`crate::simplex::solve_relaxation_dense`]).
 
 use crate::basis::{Basis, VarStatus};
+use crate::bitset::BitSet;
 use crate::expr::ConstraintSense;
-use crate::factor::{refill, sweep_beats_sort, FactorOpts, LuFactors, PATTERN_COMPARISON};
+use crate::factor::{refill, FactorOpts, LuFactors};
 use crate::model::Model;
 use crate::simplex::{LpConfig, LpResult, LpStatus, PricingRule, TOL};
 use crate::sparse::{CscMatrix, RowMajor};
@@ -89,6 +90,10 @@ const DSE_DRIFT: f64 = 16.0;
 /// Remaining-slope floor for accepting another bound flip in the dual
 /// ratio test.
 const FLIP_SLOPE_TOL: f64 = tol::FLIP_SLOPE;
+/// Candidates the bound-flipping ratio test puts in order before its
+/// walk starts — just the smallest ratio, which is where most walks stop
+/// on the area flow; each further chunk doubles.
+const RATIO_CHUNK: usize = 1;
 /// Relative scale of the anti-degeneracy cost perturbation applied on
 /// cold starts (see [`Engine::apply_perturbation`]). Large enough to
 /// break exact reduced-cost ties in the dual ratio test, small enough
@@ -96,6 +101,24 @@ const FLIP_SLOPE_TOL: f64 = tol::FLIP_SLOPE;
 /// true costs — which [`Engine::strip_perturbation`] verifies exactly
 /// before any result is reported.
 const PERTURB_SCALE: f64 = tol::PERTURB;
+
+/// Ratio-test candidate order: ascending ratio, then ascending column.
+fn ratio_order(x: &(f64, usize, f64), y: &(f64, usize, f64)) -> std::cmp::Ordering {
+    x.0.total_cmp(&y.0).then(x.1.cmp(&y.1))
+}
+
+/// Given `cands[..start]` holding the `start` smallest candidates in
+/// [`ratio_order`], puts the next `end - start` smallest into
+/// `cands[start..end]` in order: a selection over the rest, then a sort
+/// of just the chunk.
+fn order_next_chunk(cands: &mut [(f64, usize, f64)], start: usize, end: usize) {
+    let n = cands.len();
+    let rest = &mut cands[start..];
+    if end < n {
+        rest.select_nth_unstable_by(end - start - 1, ratio_order);
+    }
+    rest[..end - start].sort_unstable_by(ratio_order);
+}
 
 /// SplitMix64: cheap, high-quality deterministic hash for the per-column
 /// perturbation stream.
@@ -212,9 +235,9 @@ struct Engine {
     tpat: Vec<usize>,
     /// Scratch: columns touched by sparse PRICE (`α`'s support).
     apat: Vec<usize>,
-    /// Column marks + stamp deduplicating sparse PRICE touches.
-    amark: Vec<u32>,
-    astamp: u32,
+    /// Columns touched by sparse PRICE, deduplicated and drained into
+    /// `apat` in ascending order; empty between iterations.
+    aset: BitSet,
     /// Hot reuses since the last factorisation (numerical hygiene).
     age: u32,
     iterations: u64,
@@ -275,8 +298,7 @@ impl Engine {
             wpat: Vec::new(),
             tpat: Vec::new(),
             apat: Vec::new(),
-            amark: Vec::new(),
-            astamp: 0,
+            aset: BitSet::default(),
             age: 0,
             iterations: 0,
             work: 0,
@@ -348,8 +370,7 @@ impl Engine {
         self.wpat.clear();
         self.tpat.clear();
         self.apat.clear();
-        refill(&mut self.amark, n_total, 0);
-        self.astamp = 0;
+        self.aset.reset(n_total);
         self.age = 0;
         self.iterations = 0;
         self.work = 0;
@@ -560,7 +581,7 @@ impl Engine {
         self.w.resize(new_m, 0.0);
         self.rho.resize(new_m, 0.0);
         self.flip_rhs.resize(new_m, 0.0);
-        self.amark.resize(self.n_total, 0);
+        self.aset.grow(self.n_total);
         self.rows = self.a.to_row_major();
         self.work += self.a.nnz() as u64;
         self.factor.grow(borders);
@@ -821,7 +842,7 @@ impl Engine {
             return;
         }
         // τ = B⁻¹ρ, computed in place (ρ has no further use this
-        // iteration); the BTRAN's result pattern seeds the FTRAN's DFS.
+        // iteration); the BTRAN's result pattern seeds the FTRAN's reach.
         let tau_tracked = if rho_tracked {
             self.factor
                 .ftran_sparse_tracked(&mut self.rho, &self.rpat, &mut self.tpat)
@@ -1115,12 +1136,6 @@ impl Engine {
                     self.alpha_dirty = false;
                     self.work += self.n_total as u64;
                 }
-                self.astamp = self.astamp.wrapping_add(1);
-                if self.astamp == 0 {
-                    self.amark.fill(0);
-                    self.astamp = 1;
-                }
-                self.apat.clear();
                 let mut visited = 0u64;
                 for &i in &self.rpat {
                     let ri = self.rho[i];
@@ -1129,30 +1144,19 @@ impl Engine {
                     }
                     // Row i's logical column prices to ρᵢ directly.
                     self.alpha[self.n + i] = ri;
-                    self.amark[self.n + i] = self.astamp;
-                    self.apat.push(self.n + i);
+                    self.aset.insert(self.n + i);
                     let (cols, vals) = self.rows.row(i);
                     for (&j, &v) in cols.iter().zip(vals) {
                         self.alpha[j] += ri * v;
-                        if self.amark[j] != self.astamp {
-                            self.amark[j] = self.astamp;
-                            self.apat.push(j);
-                        }
+                        self.aset.insert(j);
                     }
                     visited += cols.len() as u64 + 1;
                 }
                 // Canonical (ascending column) candidate order, so the
                 // ratio-test tie-breaks are independent of ρ's pattern
-                // order. The marked columns are exactly α's support, so a
-                // sweep over the marks gives the sorted order too.
-                if sweep_beats_sort(self.apat.len(), self.n_total, PATTERN_COMPARISON) {
-                    self.apat.clear();
-                    let (amark, astamp) = (&self.amark, self.astamp);
-                    self.apat
-                        .extend((0..self.n_total).filter(|&j| amark[j] == astamp));
-                } else {
-                    self.apat.sort_unstable();
-                }
+                // order.
+                self.apat.clear();
+                self.aset.drain_into(&mut self.apat);
                 for &j in &self.apat {
                     if self.status[j] == VarStatus::Basic || self.upper[j] - self.lower[j] <= TOL {
                         continue; // basic, or fixed: can never enter
@@ -1215,24 +1219,36 @@ impl Engine {
             // Under the Bland guard the plain min-ratio test runs. ---
             self.flips.clear();
             let q = if self.bound_flips && !bland && self.cands.len() > 1 {
-                self.cands
-                    .sort_unstable_by(|x, y| x.0.total_cmp(&y.0).then(x.1.cmp(&y.1)));
+                // The walk usually stops at the first candidate, so they
+                // are put in order a chunk at a time: select the chunk's
+                // smallest, sort just those, and double the chunk.
+                // Columns are distinct, so the order is strict and the
+                // walk sees exactly the fully sorted sequence.
+                let n = self.cands.len();
                 let mut slope = delta0.abs();
                 let mut chosen = None;
-                for (idx, &(_, j, ap)) in self.cands.iter().enumerate() {
-                    let span = self.upper[j] - self.lower[j];
-                    if idx + 1 == self.cands.len() || !span.is_finite() {
-                        chosen = Some(j);
-                        break;
+                let (mut start, mut chunk) = (0, RATIO_CHUNK);
+                'walk: while start < n {
+                    let end = (start + chunk).min(n);
+                    order_next_chunk(&mut self.cands, start, end);
+                    for idx in start..end {
+                        let (_, j, ap) = self.cands[idx];
+                        let span = self.upper[j] - self.lower[j];
+                        if idx + 1 == n || !span.is_finite() {
+                            chosen = Some(j);
+                            break 'walk;
+                        }
+                        let next = slope - ap.abs() * span;
+                        if next > FLIP_SLOPE_TOL {
+                            self.flips.push(j);
+                            slope = next;
+                        } else {
+                            chosen = Some(j);
+                            break 'walk;
+                        }
                     }
-                    let next = slope - ap.abs() * span;
-                    if next > FLIP_SLOPE_TOL {
-                        self.flips.push(j);
-                        slope = next;
-                    } else {
-                        chosen = Some(j);
-                        break;
-                    }
+                    start = end;
+                    chunk *= 2;
                 }
                 // lint: allow(panic-path) — the walk's final iteration unconditionally sets `chosen` (both branch arms do); reaching here with None is impossible
                 chosen.expect("candidate walk always selects an entering column")
@@ -1428,7 +1444,12 @@ impl Engine {
             // update the factors cannot absorb (a numerically degenerate
             // diagonal) forces an immediate refactorisation, exactly like
             // the update-file policy.
-            let absorbed = self.factor.update(r, &self.w, &self.opts);
+            let absorbed = if w_tracked {
+                self.factor
+                    .update_sparse(r, &self.w, &self.wpat, &self.opts)
+            } else {
+                self.factor.update(r, &self.w, &self.opts)
+            };
             self.work += self.factor.take_work();
 
             // Restore the all-zero scratch invariants over the patterns
@@ -1915,6 +1936,39 @@ mod tests {
         m.set_objective(m.expr([(y, -1.0)]));
         let bounds = vec![(0.0, f64::INFINITY); 2];
         assert!(solve(&m, &bounds, &cfg(), None).is_none());
+    }
+
+    #[test]
+    fn chunked_ratio_order_matches_a_full_sort() {
+        // Ties in ratio (broken by column), signed zeros and infinities.
+        let ratios = [
+            0.5,
+            -0.0,
+            0.0,
+            2.0,
+            0.5,
+            f64::INFINITY,
+            0.25,
+            0.0,
+            3.0,
+            -0.0,
+        ];
+        for n in [2, 3, 7, 16, 33, 100] {
+            let cands: Vec<(f64, usize, f64)> = (0..n)
+                .map(|i| (ratios[(i * 7) % ratios.len()], (i * 37) % 101, 1.0))
+                .collect();
+            let mut want = cands.clone();
+            want.sort_unstable_by(ratio_order);
+            let mut got = cands;
+            let (mut start, mut chunk) = (0, RATIO_CHUNK);
+            while start < n {
+                let end = (start + chunk).min(n);
+                order_next_chunk(&mut got, start, end);
+                assert_eq!(got[..end], want[..end], "n = {n}, prefix {end}");
+                start = end;
+                chunk *= 2;
+            }
+        }
     }
 
     #[test]

@@ -294,8 +294,8 @@ fn forrest_tomlin_tracks_dense_on_degenerate_and_near_singular_sequences() {
 
 /// System size for kernel-agreement seed `seed`: mostly small systems,
 /// where a reach covers a large share of the slots, and every fourth one
-/// large, where unit right-hand sides reach few slots (ordered by a
-/// sort) while dense ones still reach most slots (ordered by a sweep).
+/// large, where unit right-hand sides reach few slots while dense ones
+/// still reach most slots.
 fn kernel_size(rng: &mut SmallRng, seed: u64) -> usize {
     if seed % 4 == 3 {
         rng.gen_range(40usize..=120)
@@ -307,8 +307,7 @@ fn kernel_size(rng: &mut SmallRng, seed: u64) -> usize {
 /// The hyper-sparse (DFS reach) and scanning kernels execute the same
 /// scatter arithmetic in the same pivot order, so forcing either via the
 /// density cutover must not change a single result — across pivot
-/// updates, sparse and dense right-hand sides, and refactorisations, and
-/// whether a reach is put into order by a sweep or by a sort.
+/// updates, sparse and dense right-hand sides, and refactorisations.
 #[test]
 fn hyper_sparse_and_scanning_kernels_agree_exactly() {
     let opts = FactorOpts::default();
@@ -384,14 +383,12 @@ fn hyper_sparse_and_scanning_kernels_agree_exactly() {
 /// **exactly**, the captured pattern must be a sorted duplicate-free
 /// superset of the result's non-zeros, and feeding a captured pattern
 /// into the *next* dependent solve (the reuse the engine performs every
-/// iteration) must again match the oracle exactly. Large systems give
-/// both small patterns (sorted) and patterns over half the rows or more
-/// (swept).
+/// iteration) must again match the oracle exactly, as must a pivot
+/// update whose spike is seeded from the captured pattern.
 #[test]
 fn tracked_kernels_match_scan_kernels_and_chain_patterns() {
     let opts = FactorOpts::default();
     let mut tracked_solves = 0u32;
-    let (mut small, mut large) = (0u32, 0u32);
     for seed in 800..840u64 {
         let mut rng = SmallRng::seed_from_u64(seed);
         let m = kernel_size(&mut rng, seed);
@@ -416,12 +413,9 @@ fn tracked_kernels_match_scan_kernels_and_chain_patterns() {
             let hit = track.ftran_sparse_tracked(&mut x1, rows, &mut result_pat);
             scan.ftran(&mut x2);
             assert_eq!(x1, x2, "seed {seed} col {q}: tracked ftran");
+            let col_pat = hit.then(|| result_pat.clone());
             if hit {
                 tracked_solves += 1;
-                if m >= 40 {
-                    small += u32::from(result_pat.len() <= 3);
-                    large += u32::from(2 * result_pat.len() >= m);
-                }
                 assert!(
                     result_pat.windows(2).all(|w| w[0] < w[1]),
                     "seed {seed} col {q}: pattern not sorted/deduped"
@@ -451,9 +445,6 @@ fn tracked_kernels_match_scan_kernels_and_chain_patterns() {
             scan.ftran(&mut d2);
             assert_eq!(d1, d2, "seed {seed} col {q}: dense tracked ftran");
             assert!(result_pat.windows(2).all(|w| w[0] < w[1]));
-            if m >= 40 {
-                large += u32::from(2 * result_pat.len() >= m);
-            }
             // Unit BTRAN, tracked vs oracle.
             let mut u1 = vec![0.0; m];
             let mut u2 = vec![0.0; m];
@@ -482,7 +473,10 @@ fn tracked_kernels_match_scan_kernels_and_chain_patterns() {
             }
             basis[r] = q;
             let ok1 = scan.update(r, &x2, &opts);
-            let ok2 = track.update(r, &x1, &opts);
+            let ok2 = match &col_pat {
+                Some(pattern) => track.update_sparse(r, &x1, pattern, &opts),
+                None => track.update(r, &x1, &opts),
+            };
             assert_eq!(ok1, ok2, "seed {seed}: update verdict");
             if !ok1 {
                 assert!(scan.factorize(&basis, &a, n));
@@ -494,10 +488,50 @@ fn tracked_kernels_match_scan_kernels_and_chain_patterns() {
         tracked_solves > 400,
         "too few tracked solves: {tracked_solves}"
     );
-    assert!(
-        small > 0 && large > 0,
-        "large systems must give small and large patterns: {small} / {large}"
-    );
+}
+
+/// Appends `k` rows to `scan` and `track` in place through `grow`, each
+/// over the basic structural columns of `basis` (every one with
+/// probability `density`); the multipliers `μ = B⁻ᵀ n` come from one
+/// BTRAN per row (by basis position). Returns the rows as
+/// `(column, value)` lists.
+fn grow_both(
+    rng: &mut SmallRng,
+    scan: &mut LuFactors,
+    track: &mut LuFactors,
+    basis: &[usize],
+    n: usize,
+    k: usize,
+    density: f64,
+) -> Vec<Vec<(usize, f64)>> {
+    let m = basis.len();
+    let mut new_rows = Vec::new();
+    let mut borders = Vec::new();
+    for _ in 0..k {
+        let mut nrow = vec![0.0; m];
+        let mut pat = Vec::new();
+        let mut terms = Vec::new();
+        for (r, &c) in basis.iter().enumerate() {
+            if c < n && rng.gen_bool(density) {
+                let v = f64::from(rng.gen_range(1i32..=3));
+                nrow[r] = v;
+                pat.push(r);
+                terms.push((c, v));
+            }
+        }
+        new_rows.push(terms);
+        scan.btran_sparse(&mut nrow, &pat);
+        borders.push(
+            nrow.iter()
+                .enumerate()
+                .filter(|&(_, &v)| v != 0.0)
+                .map(|(j, &v)| (j, v))
+                .collect::<Vec<_>>(),
+        );
+    }
+    scan.grow(borders.clone());
+    track.grow(borders);
+    new_rows
 }
 
 /// Border-grown factorisations (cut rows appended in place): the
@@ -525,35 +559,8 @@ fn tracked_kernels_match_scan_kernels_on_border_grown_bases() {
             continue; // no non-singular draw
         };
         assert!(track.factorize(&basis, &a, n));
-        // Append k rows over the basic structural columns. Multipliers
-        // `μ = B⁻ᵀ n` come from one BTRAN per row (by basis position).
         let k = rng.gen_range(1usize..=3);
-        let mut new_rows = Vec::new();
-        let mut borders = Vec::new();
-        for _ in 0..k {
-            let mut nrow = vec![0.0; m];
-            let mut pat = Vec::new();
-            let mut terms = Vec::new();
-            for (r, &c) in basis.iter().enumerate() {
-                if c < n && rng.gen_bool(0.4) {
-                    let v = f64::from(rng.gen_range(1i32..=3));
-                    nrow[r] = v;
-                    pat.push(r);
-                    terms.push((c, v));
-                }
-            }
-            new_rows.push(terms);
-            scan.btran_sparse(&mut nrow, &pat);
-            borders.push(
-                nrow.iter()
-                    .enumerate()
-                    .filter(|&(_, &v)| v != 0.0)
-                    .map(|(j, &v)| (j, v))
-                    .collect::<Vec<_>>(),
-            );
-        }
-        scan.grow(borders.clone());
-        track.grow(borders);
+        let new_rows = grow_both(&mut rng, &mut scan, &mut track, &basis, n, k, 0.4);
         // The new rows' slacks are basic in the new rows; entering
         // columns carry their coefficients in the new rows too.
         let m2 = m + k;
@@ -596,7 +603,7 @@ fn tracked_kernels_match_scan_kernels_on_border_grown_bases() {
             a2.axpy_col(&mut w1, 1.0, q);
             let mut w2 = w1.clone();
             let mut wpat = Vec::new();
-            track.ftran_sparse_tracked(&mut w1, rows, &mut wpat);
+            let hit = track.ftran_sparse_tracked(&mut w1, rows, &mut wpat);
             scan.ftran(&mut w2);
             assert_eq!(w1, w2, "seed {seed} step {step}: entering column {q}");
             let r = rng.gen_range(0..m);
@@ -604,7 +611,11 @@ fn tracked_kernels_match_scan_kernels_on_border_grown_bases() {
                 continue;
             }
             let ok1 = scan.update(r, &w2, &opts);
-            let ok2 = track.update(r, &w1, &opts);
+            let ok2 = if hit {
+                track.update_sparse(r, &w1, &wpat, &opts)
+            } else {
+                track.update(r, &w1, &opts)
+            };
             assert_eq!(ok1, ok2, "seed {seed}: update verdict");
             if !ok1 {
                 break; // a refactorisation would drop the border
@@ -616,6 +627,134 @@ fn tracked_kernels_match_scan_kernels_on_border_grown_bases() {
         bordered_btrans > 200,
         "too few tracked bordered BTRANs: {bordered_btrans}"
     );
+}
+
+/// Asserts that `pattern` is sorted, duplicate-free and covers every
+/// non-zero of `x`.
+fn assert_tracked_pattern(pattern: &[usize], x: &[f64], what: &str) {
+    assert!(
+        pattern.windows(2).all(|w| w[0] < w[1]),
+        "{what}: pattern not sorted/deduped"
+    );
+    for (i, &v) in x.iter().enumerate() {
+        assert!(
+            v == 0.0 || pattern.binary_search(&i).is_ok(),
+            "{what}: non-zero {i} outside pattern"
+        );
+    }
+}
+
+/// Pivots up to `tries` random structural columns of `a` into rows of
+/// `scan` and `track` where their pivot element is usable, the latter seeding each spike from its
+/// tracked FTRAN pattern; both must agree on every pivot column and
+/// update verdict. Returns the number of pivots taken.
+#[allow(clippy::too_many_arguments)]
+fn pivot_tracked(
+    rng: &mut SmallRng,
+    scan: &mut LuFactors,
+    track: &mut LuFactors,
+    basis: &mut [usize],
+    a: &CscMatrix,
+    n: usize,
+    tries: usize,
+    what: &str,
+) -> u32 {
+    let opts = FactorOpts::default();
+    let m = basis.len();
+    let mut pattern = Vec::new();
+    let mut pivots = 0;
+    for _ in 0..tries {
+        let q = rng.gen_range(0..n);
+        if basis.contains(&q) {
+            continue;
+        }
+        let mut w1 = vec![0.0; m];
+        a.axpy_col(&mut w1, 1.0, q);
+        let mut w2 = w1.clone();
+        assert!(track.ftran_sparse_tracked(&mut w1, a.col(q).0, &mut pattern));
+        scan.ftran(&mut w2);
+        assert_eq!(w1, w2, "{what}: entering column {q}");
+        let rows: Vec<usize> = pattern
+            .iter()
+            .copied()
+            .filter(|&i| w1[i].abs() >= 1e-6)
+            .collect();
+        if rows.is_empty() {
+            continue;
+        }
+        let r = rows[rng.gen_range(0..rows.len())];
+        let ok1 = scan.update(r, &w2, &opts);
+        let ok2 = track.update_sparse(r, &w1, &pattern, &opts);
+        assert_eq!(ok1, ok2, "{what}: update verdict");
+        if !ok1 {
+            break;
+        }
+        basis[r] = q;
+        pivots += 1;
+    }
+    pivots
+}
+
+/// Growing a basis across a 64-row boundary (62 → 66 rows through
+/// `grow`) puts the appended rows, slots and pivotal positions into a new
+/// word of the bit set that orders the kernels' patterns: tracked FTRAN
+/// and BTRAN values and patterns must still match the scanning kernels
+/// on every unit right-hand side, before and after pivot updates whose
+/// spikes are seeded from the tracked patterns.
+#[test]
+fn tracked_kernels_match_scan_kernels_across_a_word_boundary() {
+    let (m, k) = (62usize, 4usize);
+    let m2 = m + k;
+    let mut pivots = 0u32;
+    for seed in 1000..1006u64 {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let n = rng.gen_range(m..=2 * m);
+        let a = random_csc(&mut rng, m, n);
+        // Start from the slack basis, pivot structural columns in and
+        // refactorise, so the grown factors carry real `L` and `U` fill.
+        let mut basis: Vec<usize> = (n..n + m).collect();
+        let mut scan = LuFactors::identity(m);
+        let mut track = LuFactors::identity(m);
+        scan.set_hyper_density_cutoff(0.0);
+        track.set_hyper_density_cutoff(1.0);
+        assert!(scan.factorize(&basis, &a, n));
+        assert!(track.factorize(&basis, &a, n));
+        let what = format!("seed {seed} before growth");
+        pivots += pivot_tracked(
+            &mut rng, &mut scan, &mut track, &mut basis, &a, n, 60, &what,
+        );
+        assert!(scan.factorize(&basis, &a, n));
+        assert!(track.factorize(&basis, &a, n));
+        let new_rows = grow_both(&mut rng, &mut scan, &mut track, &basis, n, k, 0.2);
+        // The new rows' slacks (`n + row`) are basic in them.
+        basis.extend((m..m2).map(|i| n + i));
+        let a2 = a.append_rows(&new_rows);
+        let mut pattern = Vec::new();
+        for round in 0..3 {
+            for r in 0..m2 {
+                let what = format!("seed {seed} round {round} e{r}");
+                let mut u1 = vec![0.0; m2];
+                let mut u2 = vec![0.0; m2];
+                u2[r] = 1.0;
+                assert!(track.btran_unit_tracked(r, &mut u1, &mut pattern));
+                scan.btran(&mut u2);
+                assert_eq!(u1, u2, "{what}: tracked btran");
+                assert_tracked_pattern(&pattern, &u1, &format!("{what}: btran"));
+                let mut x1 = vec![0.0; m2];
+                x1[r] = 1.0;
+                let mut x2 = x1.clone();
+                assert!(track.ftran_sparse_tracked(&mut x1, &[r], &mut pattern));
+                scan.ftran(&mut x2);
+                assert_eq!(x1, x2, "{what}: tracked ftran");
+                assert_tracked_pattern(&pattern, &x1, &format!("{what}: ftran"));
+            }
+            let what = format!("seed {seed} round {round}");
+            pivots += pivot_tracked(
+                &mut rng, &mut scan, &mut track, &mut basis, &a2, n, 8, &what,
+            );
+        }
+    }
+    assert!(pivots >= 200, "too few pivots: {pivots}");
 }
 
 /// Runs one update-accumulation + forced-refactorisation cycle

@@ -189,3 +189,65 @@ fn area_flow_det_time_and_results_are_pinned() {
         run.incumbents.len()
     );
 }
+
+/// Tick-identity guard on a solve that spends its budget: the area
+/// `MappingIlp` of `scaled_a(16)` at `NetworkSpec` seed 0xB (instance 1 of
+/// `perfbench`'s `area_het` at seed 0; Table II pool capped at two
+/// replicas), warm-started from greedy first fit plus
+/// `local_search_area(64)` and solved directly at 0.25 det-s. Unlike the
+/// `optimize_area` pin above (and the same solve at seed 0xA, which stops
+/// after 13 nodes), this search runs its tree to the budget, so the LP
+/// kernels — reach ordering, sparse PRICE, the bound-flipping ratio test,
+/// Forrest–Tomlin updates — run tens of thousands of times. A change that
+/// only moves wall time must reproduce every value exactly.
+#[test]
+fn budget_spending_area_solve_is_tick_pinned() {
+    use croxmap::prelude::{
+        generate, greedy_first_fit, local_search_area, ArchitectureSpec, AreaModel, CrossbarPool,
+        FormulationConfig, MappingIlp, MappingObjective, NetworkSpec,
+    };
+    let network = generate(&NetworkSpec {
+        seed: 0xB,
+        ..NetworkSpec::scaled_a(16)
+    });
+    let pool = CrossbarPool::for_network_capped(
+        &ArchitectureSpec::table_ii_heterogeneous(),
+        &AreaModel::memristor_count(),
+        network.node_count(),
+        2,
+    );
+    let greedy = greedy_first_fit(&network, &pool).expect("greedy maps the network");
+    let seeded = local_search_area(&network, &pool, &greedy, 64);
+    let ilp = MappingIlp::build(
+        &network,
+        &pool,
+        &MappingObjective::Area,
+        &FormulationConfig::new(),
+    );
+    let warm = ilp.warm_start(&network, &seeded);
+    let result = Solver::new(SolverConfig::default().with_det_time_limit(0.25))
+        .solve_with_warm_start(ilp.model(), &warm);
+    let f = result.factor;
+    assert_eq!(
+        result.det_time.to_bits(),
+        0.250_005_45_f64.to_bits(),
+        "det_time {}",
+        result.det_time
+    );
+    assert_eq!(result.nodes, 5942);
+    assert_eq!(
+        [f.refactors, f.updates, f.update_nnz],
+        [3_456, 66_630, 1_500_644],
+        "refactors, updates, update_nnz"
+    );
+    assert_eq!(
+        [f.ftran_solves, f.ftran_visited, f.ftran_hyper],
+        [72_606, 28_995_184, 72_486],
+        "FTRAN solves, visited, hyper"
+    );
+    assert_eq!(
+        [f.btran_solves, f.btran_visited, f.btran_hyper],
+        [70_066, 10_447_032, 70_066],
+        "BTRAN solves, visited, hyper"
+    );
+}
